@@ -259,10 +259,19 @@ simulate_scheduled_leaf(TemplateCache& cache, const SolveTree& tree,
 }
 
 void
-ExecutionEngine::start_diagnostics(const SolveTree& tree,
-                                   const LeafSchedule& schedule)
+ExecutionEngine::describe_plan(const RequestPlan& plan)
 {
+    const SolveTree& tree = plan.tree;
+    const LeafSchedule& schedule = plan.schedule;
     diagnostics_ = Diagnostics{};
+    plan.record_plan(diagnostics_);
+    // Flat trees report in the legacy sub-problem index space.
+    const auto leaf_index = [&](int leaf_id) {
+        return tree.flat()
+                   ? tree.leaves[static_cast<std::size_t>(leaf_id)]
+                         .local_solve
+                   : leaf_id;
+    };
     diagnostics_.num_subproblems = tree.num_leaf_nodes();
     diagnostics_.tasks_executed =
         static_cast<int>(schedule.executed.size());
@@ -277,12 +286,12 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
         all_hits = all_hits && node.plan.template_cache_hit;
     }
     diagnostics_.template_cache_hit = any_template && all_hits;
-    diagnostics_.threads = executor_.num_threads();
+    diagnostics_.threads = std::min(executor_.num_threads(),
+                                    diagnostics_.tasks_executed);
     for (int leaf_id : schedule.executed) {
         const auto& leaf =
             tree.leaves[static_cast<std::size_t>(leaf_id)];
-        diagnostics_.executed_subproblems.push_back(
-            tree.flat() ? leaf.local_solve : leaf_id);
+        diagnostics_.executed_subproblems.push_back(leaf_index(leaf_id));
         diagnostics_.fused_simulation =
             diagnostics_.fused_simulation || leaf.fuse;
         if (leaf.fuse) {
@@ -291,17 +300,6 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
             else
                 ++diagnostics_.leaves_scalar_backend;
         }
-        switch (leaf.tier) {
-        case TemplateTier::Hit: ++diagnostics_.leaves_tier_hit; break;
-        case TemplateTier::Bind: ++diagnostics_.leaves_tier_bind; break;
-        case TemplateTier::Compile:
-            ++diagnostics_.leaves_tier_compile;
-            break;
-        }
-        const auto arm = node_kind_index(leaf_arm_kind(tree, leaf_id));
-        ++diagnostics_.kind_leaves_executed[arm];
-        diagnostics_.kind_budget_units[arm] +=
-            leaf_slot_cost(tree, leaf_id);
         // Only an EXECUTED leaf's mirrors are actually inferred — a
         // budget-skipped leaf infers nothing.
         for (int mirror_node : leaf.mirror_nodes)
@@ -322,15 +320,10 @@ ExecutionEngine::start_diagnostics(const SolveTree& tree,
         static_cast<int>(schedule.beyond_budget.size());
     diagnostics_.leaves_pruned =
         static_cast<int>(schedule.pruned.size());
-    // Per-arm pruned = domination-pruned + budget-cut: the leaves each
-    // reduction arm planned but will never run.
-    for (int leaf_id : schedule.beyond_budget)
-        ++diagnostics_.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(tree, leaf_id))];
-    for (int leaf_id : schedule.pruned)
-        ++diagnostics_.kind_leaves_pruned[node_kind_index(
-            leaf_arm_kind(tree, leaf_id))];
     diagnostics_.scheduler_scored = schedule.scored;
+    for (int leaf_id : plan.planned)
+        diagnostics_.planned_subproblems.push_back(leaf_index(leaf_id));
+    diagnostics_.epochs = plan.wave.epochs;
 }
 
 frozenqubits::SampledSolve
@@ -379,113 +372,52 @@ ExecutionEngine::solve_impl(const ising::IsingModel& model,
 {
     FQ_REQUIRE(shots >= 1, "need at least one shot");
     const auto start = Clock::now();
+    // Reset on entry: a plan that throws (DeadlineError from the
+    // plan-time trim, CheckpointError from a restore) must not leave the
+    // previous solve's record in last_diagnostics().
+    diagnostics_ = Diagnostics{};
 
-    // Plan: build the hierarchical tree (recursive freeze / bisection /
-    // leaf nodes, per-node shared templates), then rank and budget-cut its
-    // leaves. Both stages are serial and fix every order-dependent decision
-    // before a single circuit runs; adaptive re-ranking may later rewrite
-    // the schedule's un-dispatched tail, but only as a pure function of
-    // this request's fold count.
-    const auto tree = build_solve_tree(model, dev, config, cache_, rng);
-    auto schedule = make_schedule(model, tree, config,
-                                  /*force_scoring=*/false, &executor_);
-    // A fresh solve trims the plan to its deadline here (DeadlineError
-    // when not even one leaf fits); a resume takes the snapshot's already
-    // trimmed-and-re-ranked schedule wholesale instead.
-    if (!restore_from)
-        apply_deadline_trim(schedule, tree, config.deadline_cost_units,
-                            /*folded=*/0);
-
-    // Snapshot the plan-time order before re-ranking can rewrite the
-    // tail: the plan side of the diagnostics' plan-vs-adaptive trace.
-    std::vector<int> plan_order;
-    if (config.rerank_interval > 0)
-        for (int leaf_id : schedule.executed)
-            plan_order.push_back(
-                tree.flat()
-                    ? tree.leaves[static_cast<std::size_t>(leaf_id)]
-                          .local_solve
-                    : leaf_id);
-
-    // Execute through wave-synchronous epochs; the streaming reducer folds
-    // each leaf's distribution into the incumbent decode as it lands. With
-    // re-ranking off this is one wave spanning the whole schedule — the
-    // legacy flat batch, bit for bit.
-    StreamingReducer reducer(model, tree, schedule);
-    WaveRequest request;
-    request.model = &model;
-    request.tree = &tree;
-    request.schedule = &schedule;
-    request.reducer = &reducer;
-    request.dev = &dev;
-    request.config = &config;
-    request.shots = shots;
-    request.seed = seed;
-    if (restore_from)
-        restore_checkpoint(*restore_from, request);
+    // Plan: the tree (recursive freeze / bisection / leaf nodes, per-node
+    // shared templates), its ranked and budget-cut schedule, and the
+    // deadline trim or the restored snapshot. Every order-dependent
+    // decision is fixed before a single circuit runs; adaptive re-ranking
+    // may later rewrite the schedule's un-dispatched tail, but only as a
+    // pure function of this request's fold count. Per-leaf scoring runs on
+    // this engine's pool.
+    RequestPlan plan(model, dev, config, shots, cache_, rng, seed,
+                     restore_from, /*durable=*/static_cast<bool>(sink),
+                     &executor_);
 
     // Plan-time diagnostics publish BEFORE execution, so a solve that
     // throws mid-wave still leaves ITS OWN plan state in
     // last_diagnostics(), not a stale predecessor's.
-    start_diagnostics(tree, schedule);
-    diagnostics_.threads =
-        std::min(executor_.num_threads(),
-                 static_cast<int>(schedule.executed.size()));
-    if (restore_from)
-        diagnostics_.resumed_from =
-            static_cast<int>(restore_from->cursor);
+    describe_plan(plan);
 
-    int checkpoints = 0;
     CheckpointHook hook;
     if (sink)
-        hook = [&](WaveRequest& r) {
-            ++checkpoints;
-            return sink(capture_checkpoint(r));
-        };
-    // Execute through the seam: the local BatchExecutor by default, a
-    // net::WorkerPool when one is attached. finish_request must run even
-    // on a throw — WaveRequest storage is stack-reused, and a remote
-    // backend keys its sessions on the pointer.
+        hook = [&](WaveRequest&) { return sink(plan.capture()); };
+    // Execute through wave-synchronous epochs on the caller's thread; the
+    // streaming reducer folds each leaf's distribution as it lands. With
+    // re-ranking and checkpoints off this is one wave spanning the whole
+    // schedule. Dispatch goes through the seam: the local BatchExecutor by
+    // default, a net::WorkerPool when one is attached. finish_request must
+    // run even on a throw — a remote backend keys its sessions on the
+    // WaveRequest pointer, and this storage is stack-reused.
     LeafExecutor& leaf_exec = leaf_executor();
+    frozenqubits::SampledSolve solved;
     try {
-        run_wave_loop(leaf_exec, request, hook);
+        run_wave_loop(leaf_exec, plan.wave, hook);
+        solved = plan.reducer.finish();
     } catch (...) {
-        leaf_exec.finish_request(&request);
+        leaf_exec.finish_request(&plan.wave);
         throw;
     }
-    const LeafExecutorStats remote = leaf_exec.request_stats(&request);
-    leaf_exec.finish_request(&request);
 
-    // Refresh against the FINAL schedule when a re-rank pruned, promoted
-    // or demoted leaves after planning; otherwise the plan-time
-    // diagnostics above are already exact.
-    if (schedule.reranks > 0 || schedule.suspended) {
-        const int resumed = diagnostics_.resumed_from;
-        start_diagnostics(tree, schedule);
-        diagnostics_.threads =
-            std::min(executor_.num_threads(),
-                     static_cast<int>(schedule.executed.size()));
-        diagnostics_.resumed_from = resumed;
-    }
-    diagnostics_.epochs = request.epochs;
-    diagnostics_.reranks = schedule.reranks;
-    diagnostics_.rerank_pruned = schedule.rerank_pruned;
-    diagnostics_.rerank_promoted = schedule.rerank_promoted;
-    diagnostics_.rerank_demoted = schedule.rerank_demoted;
-    diagnostics_.planned_subproblems = std::move(plan_order);
-    diagnostics_.checkpoints = checkpoints;
-    diagnostics_.deadline_trimmed = schedule.deadline_trimmed;
-    diagnostics_.leaves_remote = remote.leaves_remote;
-    diagnostics_.leaves_local =
-        static_cast<long long>(schedule.executed.size()) -
-        remote.leaves_remote;
-    diagnostics_.leaves_redispatched = remote.leaves_redispatched;
-    diagnostics_.remote_bytes_sent = remote.bytes_sent;
-    diagnostics_.remote_bytes_received = remote.bytes_received;
-    diagnostics_.worker_dispatches = remote.worker_dispatches;
-
-    auto solved = reducer.finish();
-    diagnostics_.wall_ms = ms_since(start);
+    // Re-describe against the FINAL schedule: re-ranks and suspension may
+    // have rewritten it since planning.
+    describe_plan(plan);
+    plan.record_execution(diagnostics_, leaf_exec, plan.wave.dispatched,
+                          start);
     return solved;
 }
 

@@ -1,43 +1,41 @@
 /**
  * @file
- * ExecutionEngine: the plan / execute / reduce orchestration layer.
+ * ExecutionEngine: a thread pool, a template cache and a leaf-executor
+ * seam, plus the solo drivers over them.
  *
  * FrozenQubits' core cost is running 2^{m-1} independent sub-problem
- * circuits per instance (Sections 3.5/3.7). The engine splits that work
- * into three strictly separated stages:
+ * circuits per instance (Sections 3.5/3.7). A sampled solve takes three
+ * steps:
  *
- *   Planner        (plan.h)           — serial; freeze assignments, mirror
- *                                       links, shared compiled template,
- *                                       per-task RNG stream seeds;
- *   BatchExecutor  (batch_executor.h) — parallel; fixed thread pool,
- *                                       per-worker Statevector scratch,
- *                                       results keyed by task index;
- *   Reducer        (reducer.h)        — serial; folds per-task results
- *                                       into Report / SampledSolve.
+ *   plan     (request_plan.h) — serial; the SolveTree, its ranked and
+ *                               budget-cut LeafSchedule, the streaming
+ *                               reducer and the wired WaveRequest — the
+ *                               same step a SolveService tenant takes;
+ *   execute  (wave_loop.h)    — wave-synchronous epochs through the
+ *                               LeafExecutor seam: this engine's
+ *                               BatchExecutor pool, or a net::WorkerPool;
+ *   reduce   (reducer.h)      — the StreamingReducer folds each leaf's
+ *                               counts as they land.
  *
  * Determinism guarantee: the plan fixes every order-dependent decision
- * before any task runs, tasks own disjoint result slots and private RNG
- * streams derived from (seed, sub-problem index), and reduction runs in
- * plan order — so any thread count produces bit-identical results.
+ * before any leaf runs, each leaf samples on a private RNG stream derived
+ * from its root path, and the streaming fold is order independent — so
+ * any thread count, backend or co-tenant mix produces bit-identical
+ * results. Adaptive budget re-ranking (DriverConfig::rerank_interval)
+ * rewrites the schedule's un-dispatched tail between epochs as a pure
+ * function of the fold count, preserving the guarantee.
  *
- * solve() executes through the wave-synchronous epoch loop
- * (wave_loop.h), shared with the multi-tenant SolveService; adaptive
- * budget re-ranking (DriverConfig::rerank_interval) rewrites the
- * schedule's un-dispatched tail between epochs as a pure function of the
- * fold count, preserving the guarantee above.
- *
- * The legacy driver API (run_pipeline / evaluate_instance /
- * solve_with_sampling) is a thin facade over this class; hold an engine
- * directly to reuse its thread pool and template cache across calls
- * (benchmark sweeps, servers). One engine instance must be driven from one
- * thread at a time; parallelism lives inside.
+ * run() and evaluate() are the analytic report arms over the flat
+ * ExecutionPlan (plan.h); they simulate nothing. The legacy driver API
+ * (run_pipeline / evaluate_instance / solve_with_sampling) is a thin
+ * facade over this class; hold an engine directly to reuse its thread
+ * pool and template cache across calls (benchmark sweeps, servers). One
+ * engine instance must be driven from one thread at a time; parallelism
+ * lives inside.
  */
 #ifndef FQ_ENGINE_ENGINE_H
 #define FQ_ENGINE_ENGINE_H
 
-#include <array>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/batch_executor.h"
@@ -45,6 +43,7 @@
 #include "engine/expander.h"
 #include "engine/plan.h"
 #include "engine/reducer.h"
+#include "engine/request_plan.h"
 #include "engine/scheduler.h"
 #include "engine/solve_tree.h"
 #include "engine/template_cache.h"
@@ -84,8 +83,11 @@ sim::Counts simulate_scheduled_leaf(TemplateCache& cache,
 class ExecutionEngine
 {
   public:
-    /** Per-invocation observability (overwritten by each run/solve). */
-    struct Diagnostics
+    /**
+     * Per-invocation observability, reset on entry to each run/solve.
+     * The SolveRecord base holds what a SolveService tenant reports too.
+     */
+    struct Diagnostics : SolveRecord
     {
         int num_subproblems = 0;     ///< 2^m
         int tasks_executed = 0;      ///< 2^{m-1} with pruning
@@ -100,7 +102,6 @@ class ExecutionEngine
         bool fused_simulation = false;
         std::vector<int> executed_subproblems; ///< solved indices
         std::vector<int> pruned_subproblems;   ///< mirror (never-run) indices
-        double wall_ms = 0.0;
         int threads = 1;
 
         // --------------------------------------- SolveTree solves only --
@@ -115,57 +116,14 @@ class ExecutionEngine
          *  count under neither. */
         int leaves_scalar_backend = 0;
         int leaves_simd_backend = 0;
-        /** Scheduled-leaf template tiers (plan-time preview; see
-         *  SolveLeaf::tier): fused program already resident / family
-         *  skeleton to patch / from-scratch build. */
-        int leaves_tier_hit = 0;
-        int leaves_tier_bind = 0;
-        int leaves_tier_compile = 0;
-        /**
-         * Per-reduction-arm counters, indexed by node_kind_index() over
-         * the kind-metadata table (engine/expander.h). A scheduled
-         * leaf's arm is its parent node's kind (leaf_arm_kind):
-         * executed = leaves scheduled to run under that arm, pruned =
-         * leaves dropped by domination pruning or the circuit budget,
-         * budget units = 2^width slot cost the executed leaves spend —
-         * the observability for mixed-vocabulary trees.
-         */
-        std::array<int, kNumNodeKinds> kind_leaves_executed{};
-        std::array<int, kNumNodeKinds> kind_leaves_pruned{};
-        std::array<long long, kNumNodeKinds> kind_budget_units{};
 
         // --------------------------------- wave-synchronous epochs only --
         int epochs = 0;               ///< waves the solve rode (1 = flat batch)
-        int reranks = 0;              ///< adaptive re-ranks applied
-        int rerank_pruned = 0;        ///< stale dominated leaves dropped mid-run
-        int rerank_promoted = 0;      ///< beyond-budget leaves re-admitted
-        int rerank_demoted = 0;       ///< scheduled leaves cut by a re-rank
         /** Plan-time scheduled order (same index space as
          *  executed_subproblems), captured before any re-rank rewrote the
          *  tail — the plan side of a plan-vs-adaptive trace. Only filled
          *  when re-ranking is active. */
         std::vector<int> planned_subproblems;
-
-        // ------------------------------------------- durable solves only --
-        int checkpoints = 0;      ///< snapshots handed to the sink
-        /** Schedule cursor the solve resumed from; -1 = fresh solve. */
-        int resumed_from = -1;
-        /** Leaves demoted by the deadline trim (plan time + re-ranks). */
-        int deadline_trimmed = 0;
-
-        // -------------------------------------- distributed execution --
-        /** Leaves folded from remote worker replies (0 without a
-         *  WorkerPool attached). */
-        long long leaves_remote = 0;
-        /** Leaves the local BatchExecutor simulated (everything, when no
-         *  WorkerPool is attached). */
-        long long leaves_local = 0;
-        /** Remote leaves re-run locally after their worker died. */
-        long long leaves_redispatched = 0;
-        long long remote_bytes_sent = 0;     ///< wire bytes out
-        long long remote_bytes_received = 0; ///< wire bytes in
-        /** Per-worker leaf dispatch counts, keyed by worker address. */
-        std::vector<std::pair<std::string, long long>> worker_dispatches;
     };
 
     /** @p num_threads: 0 = auto (hardware concurrency). */
@@ -280,9 +238,9 @@ class ExecutionEngine
         const device::Device& dev,
         const frozenqubits::DriverConfig& config);
 
-    /** Shared body of the three solve entry points: plan (or replan for a
-     *  resume), optionally restore @p restore_from, run the wave loop with
-     *  an optional checkpoint sink, reduce. */
+    /** Shared body of the three solve entry points: plan (or replan and
+     *  restore @p restore_from), run the wave loop with an optional
+     *  checkpoint sink, reduce. */
     frozenqubits::SampledSolve solve_impl(
         const ising::IsingModel& model, const device::Device& dev,
         const frozenqubits::DriverConfig& config, int shots, Rng& rng,
@@ -290,8 +248,9 @@ class ExecutionEngine
         const CheckpointSink& sink);
 
     void start_diagnostics(const ExecutionPlan& plan);
-    void start_diagnostics(const SolveTree& tree,
-                           const LeafSchedule& schedule);
+    /** Reset diagnostics_ to what @p plan's current tree and schedule
+     *  describe. */
+    void describe_plan(const RequestPlan& plan);
 
     TemplateCache cache_;
     BatchExecutor executor_;

@@ -8,8 +8,9 @@
  * instance (the Skipper observation: throughput comes from batching
  * independent sub-circuits across problems). The service accepts
  * concurrent submit() calls, plans each request on the submitter's thread
- * (tree + schedule + streaming reducer — cache-served planning runs
- * concurrently across tenants), and an assembler thread coalesces the
+ * through the same RequestPlan step as a solo solve (request_plan.h —
+ * cache-served planning runs concurrently across tenants), and an
+ * assembler thread coalesces the
  * per-request leaf schedules into shared executor WAVES:
  *
  *   wave assembly — the shared wave-loop packing (wave_loop.h): fair
@@ -18,8 +19,9 @@
  *       charges 2^width units so one wide tenant cannot stall a wave's
  *       tail), honoring each request's budget-cut schedule, its optional
  *       DriverConfig::wave_share per-wave cap and its re-rank boundary;
- *   wave execution — one BatchExecutor::run_queue drain over the mixed
- *       queue; each leaf simulates through the same
+ *   wave execution — one LeafExecutor::execute_wave over the mixed
+ *       wave, through the engine's executor seam (its local pool or an
+ *       attached net::WorkerPool); each leaf simulates through the same
  *       simulate_scheduled_leaf path as a solo solve and folds into ITS
  *       OWN request's StreamingReducer;
  *   post-barrier scan — requests whose fold count reached their next
@@ -61,7 +63,6 @@
 #ifndef FQ_ENGINE_SOLVE_SERVICE_H
 #define FQ_ENGINE_SOLVE_SERVICE_H
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -78,7 +79,7 @@
 
 #include "common/error.h"
 #include "engine/engine.h"
-#include "engine/reducer.h"
+#include "engine/request_plan.h"
 #include "engine/wave_loop.h"
 
 namespace fq::engine {
@@ -117,15 +118,24 @@ class SolveService
         int max_queue_depth = 0;
     };
 
-    /** Per-request observability, available once the request completed. */
-    struct TenantDiagnostics
+    /**
+     * Per-request observability, available once the request completed.
+     * The SolveRecord base holds what a solo solve reports too; for the
+     * same request its fields match ExecutionEngine::last_diagnostics()
+     * (wall_ms aside).
+     */
+    struct TenantDiagnostics : SolveRecord
     {
         std::uint64_t request_id = 0;
         /** Final schedule size: the plan-time budget cut, minus leaves an
          *  adaptive re-rank pruned or demoted mid-run. */
         int leaves_scheduled = 0;
-        int leaves_executed = 0;  ///< folded leaves (== scheduled on success)
-        int waves = 0;            ///< waves this request contributed to
+        /** Folded leaves, restored ones included (== scheduled on
+         *  success). */
+        int leaves_executed = 0;
+        /** Waves this request contributed to (a resume counts only its
+         *  own). */
+        int waves = 0;
         /** Fused-program cache traffic attributed to this tenant. */
         std::uint64_t fused_lookups = 0;
         std::uint64_t fused_hits = 0;
@@ -141,20 +151,6 @@ class SolveService
          *  skeleton instead of rebuilding circuits (exec-time count; a
          *  subset of fused_lookups - fused_hits). */
         std::uint64_t family_binds = 0;
-        /** Plan-time template-tier split of this tenant's executed leaves
-         *  (SolveLeaf::tier: resident / family-patch / from-scratch). */
-        int leaves_tier_hit = 0;
-        int leaves_tier_bind = 0;
-        int leaves_tier_compile = 0;
-        /** Per-reduction-arm split of this tenant's leaves, indexed by
-         *  node_kind_index() over the kind-metadata table
-         *  (engine/expander.h; arm = parent node kind, leaf_arm_kind):
-         *  leaves run / leaves planned-but-dropped (domination + budget) /
-         *  2^width wave-slot units the executed leaves spent. The
-         *  serve-batch trace surface for mixed-vocabulary trees. */
-        std::array<int, kNumNodeKinds> kind_leaves_executed{};
-        std::array<int, kNumNodeKinds> kind_leaves_pruned{};
-        std::array<long long, kNumNodeKinds> kind_budget_units{};
         /**
          * Mean share of the wave slots this tenant held across the waves it
          * rode (1.0 = had every wave to itself; 1/K under K equal tenants)
@@ -163,36 +159,9 @@ class SolveService
         double wave_occupancy = 0.0;
         /** submit() return -> first leaf simulation start. */
         double queue_latency_ms = 0.0;
-        /** submit() return -> completion (reduction included). */
-        double wall_ms = 0.0;
-        /** Adaptive re-ranking activity (0 when rerank_interval is off). */
-        int reranks = 0;
-        int rerank_pruned = 0;   ///< stale dominated leaves never executed
-        int rerank_promoted = 0; ///< beyond-budget leaves re-admitted
-        int rerank_demoted = 0;  ///< scheduled leaves cut by a re-rank
-
-        // ------------------------------------------------- durability --
-        int checkpoints = 0;     ///< snapshots handed to on_checkpoint
-        /** Schedule cursor the request resumed from; -1 = fresh submit. */
-        int resumed_from = -1;
-        /** Leaves demoted by the deadline trim (plan time + re-ranks). */
-        int deadline_trimmed = 0;
         /** Completed early (deadline trim or checkpoint suspension): the
          *  result is the anytime incumbent, not the full schedule. */
         bool degraded = false;
-
-        // -------------------------------------- distributed execution --
-        /** Leaves folded from remote worker replies (0 unless a
-         *  net::WorkerPool is attached to the engine). */
-        long long leaves_remote = 0;
-        /** Leaves the local BatchExecutor simulated for this request. */
-        long long leaves_local = 0;
-        /** Remote leaves re-run locally after their worker died. */
-        long long leaves_redispatched = 0;
-        long long remote_bytes_sent = 0;     ///< wire bytes out
-        long long remote_bytes_received = 0; ///< wire bytes in
-        /** Per-worker leaf dispatch counts, keyed by worker address. */
-        std::vector<std::pair<std::string, long long>> worker_dispatches;
     };
 
     /** Service-wide counters (snapshot; monotone while the service lives). */
@@ -327,7 +296,7 @@ class SolveService
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One in-flight request; heap-pinned so the reducer's references into
+    /** One in-flight request; heap-pinned so the plan's references into
      *  the owning struct stay valid for the request's lifetime. */
     struct Request
     {
@@ -335,17 +304,11 @@ class SolveService
         ising::IsingModel model;
         device::Device dev;
         frozenqubits::DriverConfig config;
-        int shots = 0;
 
-        SolveTree tree;
-        LeafSchedule schedule;
-        /** Constructed after tree/schedule are in their final location. */
-        std::optional<StreamingReducer> reducer;
-
-        /** Wave-loop view of this request (dispatch cursor, re-rank
-         *  boundaries, epoch count); pointers wired into the fields above
-         *  once they reached their final heap location. */
-        WaveRequest wave;
+        /** Tree, schedule, reducer and the wave-loop view the assembler
+         *  drives (plan->wave.context points back here). Planned once
+         *  model/dev/config reached their final heap location. */
+        std::optional<RequestPlan> plan;
 
         std::promise<frozenqubits::SampledSolve> promise;
         CompletionCallback on_complete;
@@ -356,8 +319,6 @@ class SolveService
          *  and boundary scan; read by submit()'s deadline backlog
          *  projection from other threads, hence atomic. */
         std::atomic<long long> pending_cost{0};
-        int checkpoints = 0;   ///< assembler-thread only
-        int resumed_from = -1; ///< schedule cursor restored from (-1 = fresh)
 
         /** First failure among this request's leaves (poisons only this
          *  request; the wave and other tenants are unaffected). */
@@ -378,8 +339,8 @@ class SolveService
         std::atomic<std::uint64_t> fused_hits_simd{0};
         /** Exec-time family-skeleton binds (TemplateTier::Bind folds). */
         std::atomic<std::uint64_t> family_binds{0};
+        /** Folded leaves, restored ones included. */
         std::atomic<int> leaves_folded{0};
-        int waves = 0;               ///< assembler-thread only
         double occupancy_sum = 0.0;  ///< assembler-thread only
     };
 
@@ -399,11 +360,17 @@ class SolveService
      *  tenants' pending cost plus @p own_cost exceeds @p deadline. Call
      *  with mutex_ held, deadline > 0. */
     void deadline_or_throw_locked(long long deadline, long long own_cost);
-    /** Shared enqueue tail of submit / submit_resume: re-check admission
-     *  (and, for fresh submits, the deadline backlog) under the lock,
-     *  assign the id, publish to active_. */
-    Ticket enqueue_request(std::unique_ptr<Request> request,
-                           bool check_deadline);
+    /** Shared body of submit / submit_resume (@p restore_from null for a
+     *  fresh request): plan on the calling thread, then re-check
+     *  admission (and, for fresh requests, the deadline backlog) under
+     *  the lock, assign the id and publish to active_. */
+    Ticket submit_request(const ising::IsingModel& model,
+                          const device::Device& dev,
+                          const frozenqubits::DriverConfig& config,
+                          int shots, std::uint64_t seed,
+                          const SolveCheckpoint* restore_from,
+                          CompletionCallback on_complete,
+                          CheckpointCallback on_checkpoint);
     void assembler_loop();
     /** Drive the shared wave-loop assembly over the live tenants (fair
      *  round-robin + wave_share + cost weighting + re-rank boundary caps)

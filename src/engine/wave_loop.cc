@@ -191,13 +191,6 @@ void
 run_wave_loop(LeafExecutor& executor, WaveRequest& request,
               const CheckpointHook& checkpoint)
 {
-    // A fresh request arms its boundaries here; one restored from a
-    // checkpoint arrives with dispatched > 0 and its snapshot's re-rank
-    // boundary already set — re-arming would rewind it below the cursor.
-    if (request.dispatched == 0)
-        arm_rerank(request);
-    if (checkpoint)
-        arm_checkpoint(request);
     while (!request.done()) {
         // One epoch: everything up to the next boundary (re-rank or
         // checkpoint) rides one wave — the whole schedule when both are
@@ -215,14 +208,6 @@ run_wave_loop(LeafExecutor& executor, WaveRequest& request,
         post_barrier_rerank(request);
         post_barrier_checkpoint(request, checkpoint);
     }
-}
-
-void
-run_wave_loop(TemplateCache& cache, BatchExecutor& executor,
-              WaveRequest& request, const CheckpointHook& checkpoint)
-{
-    LocalLeafExecutor local(cache, executor);
-    run_wave_loop(local, request, checkpoint);
 }
 
 } // namespace fq::engine

@@ -2,8 +2,9 @@
  * @file
  * Wave-synchronous execution epochs: the ONE schedule→dispatch→fold→barrier
  * cycle, shared by the solo ExecutionEngine::solve and the multi-tenant
- * SolveService (which used to duplicate it as a flat batch and an assembler
- * loop respectively).
+ * SolveService. Both plan their requests through RequestPlan
+ * (request_plan.h), which arms the boundaries below; this file only runs
+ * them.
  *
  * An epoch is one wave: dispatch a slice of each participating request's
  * ranked leaf schedule onto the executor, run it to the fork-join barrier,
@@ -324,23 +325,17 @@ bool post_barrier_checkpoint(WaveRequest& request,
 
 /**
  * Solo driver: run @p request to completion through wave-synchronous
- * epochs. Each epoch dispatches everything up to the request's
+ * epochs on @p executor (the local pool, a WorkerPool or any other
+ * backend). Each epoch dispatches everything up to the request's
  * dispatch_limit in one wave — with re-ranking and checkpointing off that
  * is the entire schedule in a single wave, bit-identical to the pre-epoch
- * flat batch. Exceptions propagate (no hooks). Re-rank boundaries are
- * armed only for a FRESH request (dispatched == 0); a request restored
- * from a checkpoint keeps its snapshot boundary. @p checkpoint, when set,
- * arms checkpoint boundaries and fires at each one. The SolveService
- * drives the same assemble/execute/post-barrier primitives from its
- * assembler thread instead, multiplexing many requests per wave.
+ * flat batch. Exceptions propagate (no hooks). The request arrives with
+ * its boundaries already armed (RequestPlan: re-rank for a fresh request,
+ * the snapshot's for a resume, checkpoints when durable); @p checkpoint
+ * fires at each checkpoint boundary. The SolveService drives the same
+ * assemble/execute/post-barrier primitives from its assembler thread
+ * instead, multiplexing many requests per wave.
  */
-void run_wave_loop(TemplateCache& cache, BatchExecutor& executor,
-                   WaveRequest& request,
-                   const CheckpointHook& checkpoint = {});
-
-/** Same solo driver over the executor seam — the overload the engine uses
- *  so a WorkerPool (or any other backend) slots in without touching the
- *  epoch logic. */
 void run_wave_loop(LeafExecutor& executor, WaveRequest& request,
                    const CheckpointHook& checkpoint = {});
 

@@ -233,6 +233,35 @@ TEST(Checkpoint, ServiceResumeMatchesSoloSolve)
               static_cast<int>(snapshots.front().cursor));
 }
 
+TEST(Checkpoint, ResumedLeavesAreNotCountedAsSimulatedLocally)
+{
+    // Restored leaves re-fold from the snapshot without being simulated,
+    // so a resume at cursor c runs (and accounts for) only the leaves past
+    // c — solo and served alike.
+    DurableWorkload w;
+    const auto dev = device::make_device("ibm-montreal");
+    const auto snapshots = collect_snapshots(w);
+    ASSERT_GE(snapshots.size(), 2u);
+    const auto& mid = snapshots[snapshots.size() / 2];
+    ASSERT_GT(mid.cursor, 0u);
+    const long long cursor = static_cast<long long>(mid.cursor);
+
+    ExecutionEngine solo(2);
+    (void)solo.resume(w.model, dev, w.config, w.shots, mid);
+    const auto& d = solo.last_diagnostics();
+    EXPECT_EQ(d.leaves_local + d.leaves_remote,
+              static_cast<long long>(d.tasks_executed) - cursor);
+
+    ExecutionEngine eng(2);
+    SolveService service(eng);
+    auto ticket =
+        service.submit_resume(w.model, dev, w.config, w.shots, mid);
+    (void)ticket.get();
+    const auto t = service.diagnostics(ticket.id());
+    EXPECT_EQ(t.leaves_local + t.leaves_remote,
+              static_cast<long long>(t.leaves_scheduled) - cursor);
+}
+
 TEST(Checkpoint, CorruptedCursorIsRejectedBeforeAnyFold)
 {
     DurableWorkload w;
@@ -265,6 +294,50 @@ TEST(Checkpoint, DeadlineRejectsUnmeetableBudgetAtPlanTime)
     ExecutionEngine eng(1);
     EXPECT_THROW(eng.solve(w.model, dev, config, w.shots, w.seed),
                  DeadlineError);
+}
+
+TEST(Checkpoint, FailedPlanLeavesNoStaleDiagnostics)
+{
+    // A plan that throws — DeadlineError from the plan-time trim,
+    // CheckpointError from a restore — must not leave the previous
+    // solve's record in last_diagnostics().
+    DurableWorkload w;
+    const auto dev = device::make_device("ibm-montreal");
+    const auto snapshots = collect_snapshots(w);
+    ASSERT_FALSE(snapshots.empty());
+    const auto expect_blank = [](const ExecutionEngine::Diagnostics& d) {
+        EXPECT_EQ(d.tasks_executed, 0);
+        EXPECT_EQ(d.leaves_total, 0);
+        EXPECT_TRUE(d.executed_subproblems.empty());
+        EXPECT_EQ(d.leaves_tier_hit + d.leaves_tier_bind +
+                      d.leaves_tier_compile,
+                  0);
+        for (int count : d.kind_leaves_executed)
+            EXPECT_EQ(count, 0);
+        EXPECT_EQ(d.reranks, 0);
+        EXPECT_EQ(d.epochs, 0);
+        EXPECT_EQ(d.leaves_local, 0);
+        EXPECT_EQ(d.resumed_from, -1);
+        EXPECT_EQ(d.wall_ms, 0.0);
+    };
+
+    ExecutionEngine eng(1);
+    auto config = w.config;
+    config.checkpoint_interval = 0;
+    (void)eng.solve(w.model, dev, config, w.shots, w.seed);
+    ASSERT_GT(eng.last_diagnostics().tasks_executed, 0);
+    ASSERT_GT(eng.last_diagnostics().reranks, 0);
+    config.deadline_cost_units = 1; // cheapest leaf costs 2^width >> 1
+    EXPECT_THROW(eng.solve(w.model, dev, config, w.shots, w.seed),
+                 DeadlineError);
+    expect_blank(eng.last_diagnostics());
+
+    (void)eng.resume(w.model, dev, w.config, w.shots, snapshots.front());
+    ASSERT_GE(eng.last_diagnostics().resumed_from, 0);
+    EXPECT_THROW(
+        eng.resume(w.model, dev, w.config, w.shots + 1, snapshots.front()),
+        CheckpointError);
+    expect_blank(eng.last_diagnostics());
 }
 
 /** Largest power-of-two budget that trims the workload's schedule

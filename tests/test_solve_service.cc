@@ -410,6 +410,145 @@ TEST(SolveService, RerankParityWithSoloUnderAdversarialInterleaving)
     }
 }
 
+/** Every SolveRecord field except wall_ms, whose clocks start at
+ *  different points (solve entry vs submit return). */
+void
+expect_records_equal(const SolveRecord& solo, const SolveRecord& served)
+{
+    EXPECT_EQ(solo.leaves_tier_hit, served.leaves_tier_hit);
+    EXPECT_EQ(solo.leaves_tier_bind, served.leaves_tier_bind);
+    EXPECT_EQ(solo.leaves_tier_compile, served.leaves_tier_compile);
+    EXPECT_EQ(solo.kind_leaves_executed, served.kind_leaves_executed);
+    EXPECT_EQ(solo.kind_leaves_pruned, served.kind_leaves_pruned);
+    EXPECT_EQ(solo.kind_budget_units, served.kind_budget_units);
+    EXPECT_EQ(solo.reranks, served.reranks);
+    EXPECT_EQ(solo.rerank_pruned, served.rerank_pruned);
+    EXPECT_EQ(solo.rerank_promoted, served.rerank_promoted);
+    EXPECT_EQ(solo.rerank_demoted, served.rerank_demoted);
+    EXPECT_EQ(solo.checkpoints, served.checkpoints);
+    EXPECT_EQ(solo.resumed_from, served.resumed_from);
+    EXPECT_EQ(solo.deadline_trimmed, served.deadline_trimmed);
+    EXPECT_EQ(solo.leaves_remote, served.leaves_remote);
+    EXPECT_EQ(solo.leaves_local, served.leaves_local);
+    EXPECT_EQ(solo.leaves_redispatched, served.leaves_redispatched);
+    EXPECT_EQ(solo.remote_bytes_sent, served.remote_bytes_sent);
+    EXPECT_EQ(solo.remote_bytes_received, served.remote_bytes_received);
+    EXPECT_EQ(solo.worker_dispatches, served.worker_dispatches);
+}
+
+TEST(SolveService, SoloAndServedSolveRecordsMatch)
+{
+    // One request, one record: the same request solved alone and served
+    // as a tenant reports the same SolveRecord. Each side gets a fresh
+    // engine, so the plan-time tier previews see the same cold cache.
+    const auto dev = device::make_device("ibm-montreal");
+    struct Case
+    {
+        const char* name;
+        Workload w;
+        bool durable = false;            ///< checkpoint sink on both sides
+        const SolveCheckpoint* resume = nullptr;
+    };
+    const auto depth2 = [] {
+        Workload w;
+        w.model = ba_model(16, 2, 5);
+        w.config.num_freeze = 2;
+        w.config.max_depth = 2;
+        w.config.max_circuits = 4;
+        w.config.rerank_interval = 2;
+        w.shots = 256;
+        w.seed = 7;
+        return w;
+    };
+
+    const auto solo_record = [&](const Case& c) {
+        ExecutionEngine solo(2);
+        CheckpointSink sink;
+        if (c.durable)
+            sink = [](const SolveCheckpoint&) { return true; };
+        const auto& w = c.w;
+        if (c.resume)
+            (void)solo.resume(w.model, dev, w.config, w.shots, *c.resume,
+                              sink);
+        else
+            (void)solo.solve(w.model, dev, w.config, w.shots, w.seed, sink);
+        return solo.last_diagnostics();
+    };
+    const auto served_record = [&](const Case& c) {
+        ExecutionEngine eng(2);
+        SolveService service(eng);
+        SolveService::CheckpointCallback on_checkpoint;
+        if (c.durable)
+            on_checkpoint = [](std::uint64_t, const SolveCheckpoint&) {
+                return true;
+            };
+        const auto& w = c.w;
+        auto ticket =
+            c.resume ? service.submit_resume(w.model, dev, w.config,
+                                             w.shots, *c.resume, nullptr,
+                                             on_checkpoint)
+                     : service.submit(w.model, dev, w.config, w.shots,
+                                      w.seed, nullptr, on_checkpoint);
+        (void)ticket.get();
+        return service.diagnostics(ticket.id());
+    };
+
+    std::vector<Case> cases;
+    { // re-rank on, durable
+        Case c{"rerank", depth2()};
+        c.w.config.checkpoint_interval = 1;
+        c.durable = true;
+        cases.push_back(c);
+    }
+    { // deadline-trimmed: the largest power-of-two budget that trims
+        Case c{"deadline", depth2()};
+        for (int shift = 40; shift >= 1; --shift) {
+            c.w.config.deadline_cost_units = 1LL << shift;
+            if (solo_record(c).deadline_trimmed > 0)
+                break;
+        }
+        cases.push_back(c);
+    }
+    { // max_depth 2 with sparsify (dense BA3: prunable proxy edges)
+        Case c{"sparsify", depth2()};
+        c.w.model = ba_model(16, 3, 5);
+        c.w.config.sparsify_keep = 0.5;
+        cases.push_back(c);
+    }
+    // Resumed from a mid-schedule snapshot.
+    std::vector<SolveCheckpoint> snapshots;
+    {
+        auto w = depth2();
+        w.config.checkpoint_interval = 1;
+        ExecutionEngine eng(1);
+        (void)eng.solve(w.model, dev, w.config, w.shots, w.seed,
+                        [&](const SolveCheckpoint& ck) {
+                            snapshots.push_back(ck);
+                            return true;
+                        });
+        ASSERT_GE(snapshots.size(), 2u);
+        Case c{"resume", w};
+        c.resume = &snapshots[snapshots.size() / 2];
+        cases.push_back(c);
+    }
+
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto solo = solo_record(c);
+        const auto served = served_record(c);
+        expect_records_equal(solo, served);
+        EXPECT_EQ(solo.tasks_executed, served.leaves_scheduled);
+    }
+    // Each case exercises the fields it is named for.
+    EXPECT_GT(solo_record(cases[0]).reranks, 0);
+    EXPECT_GT(solo_record(cases[0]).checkpoints, 0);
+    EXPECT_GT(solo_record(cases[1]).deadline_trimmed, 0);
+    EXPECT_GT(solo_record(cases[2])
+                  .kind_leaves_executed[node_kind_index(NodeKind::Sparsify)],
+              0);
+    EXPECT_GT(solo_record(cases[3]).resumed_from, 0);
+}
+
 TEST(SolveService, AdmissionControlRejectsBeyondQueueDepth)
 {
     const auto dev = device::make_device("ibm-montreal");
