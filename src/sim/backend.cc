@@ -122,10 +122,7 @@ class VectorizedFusedBackend final : public Backend
         if (table.compressed()) {
             // Same phase precompute as the scalar path (one sincos per
             // level); only the per-state gather-multiply is vectorized.
-            const auto& levels = table.levels();
-            std::vector<Amp> phases(levels.size());
-            for (std::size_t k = 0; k < levels.size(); ++k)
-                phases[k] = std::polar(1.0, scale * levels[k]);
+            const auto phases = table.level_phases(scale);
             simd::diag_apply_lut(amps, table.level_index().data(),
                                  phases.data(), table.dimension());
             return;

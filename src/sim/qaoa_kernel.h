@@ -15,10 +15,14 @@
  *     pass amps[s] *= polar(1, scale * w[s]). Tables whose weights take
  *     few distinct values (every +-1-weighted benchmark class) compress to
  *     a level LUT: the per-state work drops to one uint16 load and one
- *     complex multiply, with |levels| sincos calls per application.
+ *     complex multiply, with |levels| sincos calls per application. Such
+ *     tables — integral coefficients on 0-, 1- and 2-bit masks, every
+ *     leaf of a paper-class instance — are built in one O(2^n) integer
+ *     walk; other term lists pay one O(2^n) pass per term.
  *
- *   EnergyTable — E[s] = model.evaluate_state(s) computed once; every
- *     expectation is then a dot product with the probabilities.
+ *   EnergyTable — E[s] = model.evaluate_state(s) computed once (one
+ *     O(2^n) integer walk for integral models); every expectation is then
+ *     a dot product with the probabilities.
  *
  *   FusedProgram — a compiled fused circuit: leading Hadamard wall becomes
  *     a one-pass uniform init, diagonal layers apply through their tables,
@@ -58,12 +62,26 @@ class DiagonalTable
      * values are stored as (levels, per-state level index); the raw table
      * is kept otherwise. Skip the LUT for one-shot use — its build cost
      * only amortizes when the table is applied many times.
+     *
+     * Cost: with @p build_lut set and every term on a 0-, 1- or 2-bit
+     * mask with an integral coefficient, sum |c| <= 32767, one O(2^n)
+     * integer walk plus one O(2^n) slot pass. Otherwise (fractional
+     * coefficients, 3+-bit masks, a larger magnitude, more than
+     * kMaxLevels levels, or no LUT) one O(2^n) pass per term in term
+     * order, plus a hashed O(2^n) level pass when @p build_lut is set.
+     * Both builds give bitwise-identical weights, levels and slots.
      */
     DiagonalTable(const std::vector<circuit::ParityTerm>& terms,
                   int num_qubits, bool build_lut);
 
     /** Multiply amps[s] by e^{i * scale * weight(s)} for all s. */
     void apply(Statevector::Amplitude* amps, double scale) const;
+
+    /**
+     * e^{i * scale * level} per level, one sincos each (compressed tables;
+     * the one phase precompute every backend's LUT apply uses).
+     */
+    std::vector<Statevector::Amplitude> level_phases(double scale) const;
 
     /** weight(s) regardless of storage form (tests / diagnostics). */
     double weight(std::uint64_t state) const;
@@ -97,6 +115,13 @@ class DiagonalTable
     static constexpr std::size_t kMaxLevels = 4096;
 
   private:
+    /**
+     * The integer-walk LUT build; false (and nothing stored) when the
+     * terms do not qualify or the weights exceed kMaxLevels levels.
+     */
+    bool build_levels_by_walk(const std::vector<circuit::ParityTerm>& terms,
+                              int num_qubits);
+
     std::uint64_t dimension_ = 0;
     std::vector<double> weights_;            ///< raw form (empty when LUT)
     std::vector<double> levels_;             ///< distinct weights
@@ -104,10 +129,12 @@ class DiagonalTable
 };
 
 /**
- * Cached per-state energies E[s] = model.evaluate_state(s), built once in
- * O((|V|+|E|) 2^n) branch-free passes and reused for every expectation
- * (one dot product) — versus re-evaluating the model O(n+|E|) per state
- * per optimizer iteration.
+ * Cached per-state energies E[s] = model.evaluate_state(s), built once and
+ * reused for every expectation (one dot product) — versus re-evaluating
+ * the model O(n+|E|) per state per optimizer iteration. A model whose
+ * offset, h and J are all integral (sum of magnitudes at most 2^52) fills
+ * in one O(2^n) integer walk; any other model in O((|V|+|E|) 2^n)
+ * branch-free passes. Both give bitwise-identical values.
  */
 class EnergyTable
 {
@@ -129,6 +156,9 @@ class EnergyTable
     double expectation(const Statevector& state) const;
 
   private:
+    /** Fill values_ (already sized) for @p model. */
+    void fill(const ising::IsingModel& model);
+
     int num_qubits_ = 0;
     std::vector<double> values_;
 };

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -795,6 +797,206 @@ TEST(EnergyTable, RebindMatchesFreshConstructionBitwise)
     ASSERT_EQ(table.values().size(), fresh.values().size());
     EXPECT_EQ(0, std::memcmp(table.values().data(), fresh.values().data(),
                              fresh.values().size() * sizeof(double)));
+}
+
+// ------------------------------------------ table builds vs parity oracle --
+
+/** Per-state oracle: sum_t c_t * parity_sign(s & mask_t), in term order. */
+std::vector<double>
+parity_oracle(const std::vector<circuit::ParityTerm>& terms, int n)
+{
+    std::vector<double> weights(std::uint64_t(1) << n, 0.0);
+    for (std::uint64_t s = 0; s < weights.size(); ++s)
+        for (const auto& term : terms)
+            weights[s] +=
+                term.coefficient * ((popcount64(s & term.mask) & 1) ? -1.0
+                                                                     : 1.0);
+    return weights;
+}
+
+/**
+ * @p table holds exactly the oracle weights, bit for bit; a compressed
+ * table's levels are the oracle's distinct values in first-seen order
+ * and its per-state slots point at them. Returns the distinct count.
+ */
+std::size_t
+expect_matches_oracle(const sim::DiagonalTable& table,
+                      const std::vector<double>& oracle)
+{
+    std::map<std::uint64_t, std::size_t> slot_of_bits;
+    std::vector<double> distinct;
+    std::vector<std::uint16_t> slots;
+    for (const double w : oracle) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &w, sizeof(bits));
+        const auto it =
+            slot_of_bits.emplace(bits, distinct.size()).first;
+        if (it->second == distinct.size())
+            distinct.push_back(w);
+        slots.push_back(static_cast<std::uint16_t>(it->second));
+    }
+    EXPECT_EQ(table.dimension(), oracle.size());
+    for (std::uint64_t s = 0; s < oracle.size(); ++s)
+        if (!bits_equal(table.weight(s), oracle[s])) {
+            ADD_FAILURE() << "weight differs at state " << s;
+            break;
+        }
+    if (table.compressed()) {
+        EXPECT_EQ(table.levels().size(), distinct.size());
+        for (std::size_t k = 0; k < distinct.size(); ++k)
+            EXPECT_TRUE(bits_equal(table.levels()[k], distinct[k]));
+        EXPECT_EQ(table.level_index(), slots);
+    }
+    return distinct.size();
+}
+
+/**
+ * Integral terms as fusion emits them for a frozen +-1 leaf, plus the
+ * shapes it can also emit: a mask-0 offset, general integers and zero
+ * coefficients on 1- and 2-bit masks.
+ */
+std::vector<circuit::ParityTerm>
+integral_terms(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const double field_values[] = {-2.0, -1.0, 0.0, 1.0, 3.0};
+    const double coupling_values[] = {-1.0, 1.0, -4.0, 5.0, 0.0};
+    std::vector<circuit::ParityTerm> terms{{0, 3.0}, {1, 0.0}};
+    for (int q = 0; q < n; ++q)
+        terms.push_back({std::uint64_t(1) << q,
+                         field_values[rng.uniform_int(0, 4)]});
+    for (int t = 0; n >= 2 && t < 3 * n; ++t) {
+        const int a = rng.uniform_int(0, n - 1);
+        int b = rng.uniform_int(0, n - 2);
+        b += b >= a ? 1 : 0;
+        terms.push_back({(std::uint64_t(1) << a) | (std::uint64_t(1) << b),
+                         coupling_values[rng.uniform_int(0, 4)]});
+    }
+    terms.push_back({0, -1.0});
+    return terms;
+}
+
+TEST(DiagonalTable, IntegralTermsMatchParityOracleBitwise)
+{
+    for (const int n : {1, 2, 5, 19, 20}) {
+        SCOPED_TRACE("width " + std::to_string(n));
+        const auto terms = integral_terms(n, 900 + n);
+        const auto oracle = parity_oracle(terms, n);
+        const sim::DiagonalTable lut(terms, n, /*build_lut=*/true);
+        const sim::DiagonalTable raw(terms, n, /*build_lut=*/false);
+        ASSERT_TRUE(lut.compressed());
+        ASSERT_FALSE(raw.compressed());
+        expect_matches_oracle(lut, oracle);
+        expect_matches_oracle(raw, oracle);
+        // The LUT is the raw table's distinct values in first-seen order.
+        expect_matches_oracle(lut, raw.raw_weights());
+    }
+}
+
+TEST(DiagonalTable, LevelCountAtAndJustOverTheCap)
+{
+    // Coefficients 2^q on q = 0..11 give the 4096 odd values in
+    // [-4095, 4095]: exactly kMaxLevels, so the table compresses.
+    std::vector<circuit::ParityTerm> terms;
+    for (int q = 0; q < 12; ++q)
+        terms.push_back({std::uint64_t(1) << q, double(1 << q)});
+    const sim::DiagonalTable at_cap(terms, 12, /*build_lut=*/true);
+    ASSERT_TRUE(at_cap.compressed());
+    EXPECT_EQ(at_cap.num_levels(), sim::DiagonalTable::kMaxLevels);
+    EXPECT_EQ(expect_matches_oracle(at_cap, parity_oracle(terms, 12)),
+              sim::DiagonalTable::kMaxLevels);
+
+    // One more +-1 spin shifts them to the 4097 even values in
+    // [-4096, 4096]: one level over the cap keeps the raw table.
+    terms.push_back({std::uint64_t(1) << 12, 1.0});
+    const sim::DiagonalTable over_cap(terms, 13, /*build_lut=*/true);
+    EXPECT_FALSE(over_cap.compressed());
+    EXPECT_EQ(expect_matches_oracle(over_cap, parity_oracle(terms, 13)),
+              sim::DiagonalTable::kMaxLevels + 1);
+}
+
+TEST(DiagonalTable, NonIntegralTermsKeepTheTermOrderSums)
+{
+    // Fractional coefficients whose float sums depend on the summation
+    // order: the table must round exactly like the in-order oracle.
+    std::vector<circuit::ParityTerm> fractional{{0, 0.1}};
+    Rng rng(31);
+    for (int q = 0; q < 14; ++q)
+        fractional.push_back({std::uint64_t(1) << q, 0.1 * (q + 1)});
+    for (int t = 0; t < 20; ++t) {
+        const int a = rng.uniform_int(0, 12);
+        fractional.push_back(
+            {(std::uint64_t(3) << a), rng.uniform(-1.0, 1.0)});
+    }
+    {
+        const sim::DiagonalTable table(fractional, 14, /*build_lut=*/true);
+        EXPECT_FALSE(table.compressed()); // > kMaxLevels distinct sums
+        expect_matches_oracle(table, parity_oracle(fractional, 14));
+    }
+    // Few fractional levels: the hashed pass still compresses them.
+    const std::vector<circuit::ParityTerm> halves{
+        {1, 0.5}, {2, -0.25}, {3, 0.125}, {0, 0.1}};
+    {
+        const sim::DiagonalTable table(halves, 3, /*build_lut=*/true);
+        EXPECT_TRUE(table.compressed());
+        expect_matches_oracle(table, parity_oracle(halves, 3));
+    }
+    // Integral, but one 3-bit mask: the per-term passes build it.
+    auto wide = integral_terms(10, 77);
+    wide.push_back({0b1011, -2.0});
+    {
+        const sim::DiagonalTable table(wide, 10, /*build_lut=*/true);
+        EXPECT_TRUE(table.compressed());
+        expect_matches_oracle(table, parity_oracle(wide, 10));
+    }
+    // Integral with |sum c| past the walk's range, few levels.
+    const std::vector<circuit::ParityTerm> large{
+        {1, 40000.0}, {2, -3.0}, {6, 1.0}};
+    {
+        const sim::DiagonalTable table(large, 3, /*build_lut=*/true);
+        EXPECT_TRUE(table.compressed());
+        expect_matches_oracle(table, parity_oracle(large, 3));
+    }
+}
+
+/** A model with integral offset, fields and couplings. */
+ising::IsingModel
+integral_model(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto g = graph::barabasi_albert(n, 3, rng);
+    graph::assign_random_pm1_weights(g, rng);
+    auto model = ising::IsingModel::from_graph(g);
+    for (int i = 0; i < n; i += 2)
+        model.set_linear(i, double(rng.uniform_int(-3, 3)));
+    model.set_offset(-7.0);
+    return model;
+}
+
+TEST(EnergyTable, IntegralAndFractionalModelsMatchEvaluateStateExactly)
+{
+    for (const int n : {5, 19}) {
+        SCOPED_TRACE("width " + std::to_string(n));
+        for (const bool integral : {true, false}) {
+            const auto model = integral ? integral_model(n, 60 + n)
+                                        : random_model(n, 60 + n, true);
+            const sim::EnergyTable table(model);
+            for (std::uint64_t s = 0; s < table.values().size(); ++s)
+                ASSERT_EQ(table.values()[s], model.evaluate_state(s))
+                    << "state " << s << (integral ? " integral" : "");
+        }
+    }
+    // Rebinding across the two fill paths matches fresh construction.
+    const auto integral = integral_model(12, 5);
+    const auto fractional = random_model(12, 6, /*with_linear=*/true);
+    sim::EnergyTable table(integral);
+    for (const auto* model : {&fractional, &integral}) {
+        table.rebind(*model);
+        const sim::EnergyTable fresh(*model);
+        EXPECT_EQ(0, std::memcmp(table.values().data(),
+                                 fresh.values().data(),
+                                 fresh.values().size() * sizeof(double)));
+    }
 }
 
 } // namespace
