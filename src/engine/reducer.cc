@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/bitops.h"
@@ -56,7 +58,7 @@ reduce_report(const ExecutionPlan& plan,
 
 frozenqubits::SampledSolve
 reduce_sampling(const ising::IsingModel& model, const ExecutionPlan& plan,
-                const std::vector<sim::Counts>& per_task)
+                std::vector<sim::Counts> per_task)
 {
     FQ_REQUIRE(per_task.size() == plan.tasks.size(),
                "per-task counts do not match the plan");
@@ -67,10 +69,10 @@ reduce_sampling(const ising::IsingModel& model, const ExecutionPlan& plan,
         plan.subproblems.size(), sim::Counts(sub_width));
     for (std::size_t k = 0; k < plan.tasks.size(); ++k) {
         const auto& task = plan.tasks[k];
-        distributions[task.solve] = per_task[k];
         // Mirror distributions: flip every bit (Section 3.7.2).
         for (int mirror : task.mirrors)
             distributions[mirror] = per_task[k].flip_all_bits();
+        distributions[task.solve] = std::move(per_task[k]);
     }
 
     const auto decoded =
@@ -82,6 +84,109 @@ reduce_sampling(const ising::IsingModel& model, const ExecutionPlan& plan,
     out.distributions = std::move(distributions);
     return out;
 }
+
+namespace {
+
+/**
+ * True when offset, h and J are finite integers with sum |c| <= 2^52:
+ * every partial sum of IsingModel::evaluate (and of any model derived by
+ * freezing spins) is then an exact integer, so a sub-model cost equals
+ * the original-model cost of the lifted state bit for bit.
+ */
+bool
+has_exact_integral_costs(const ising::IsingModel& model)
+{
+    constexpr std::int64_t kLimit = std::int64_t(1) << 52;
+    std::int64_t magnitude = 0;
+    const auto add = [&](double c) {
+        if (!(std::abs(c) <= static_cast<double>(kLimit)) ||
+            c != std::trunc(c))
+            return false;
+        magnitude += static_cast<std::int64_t>(std::abs(c));
+        return magnitude <= kLimit;
+    };
+    if (!add(model.offset()))
+        return false;
+    for (double h : model.linear_terms())
+        if (!add(h))
+            return false;
+    for (const auto& term : model.quadratic_terms())
+        if (!add(term.coefficient))
+            return false;
+    return true;
+}
+
+/**
+ * Basis-state costs of a model that has_exact_integral_costs, in int64:
+ * with z_i = 1 - 2 b_i, C(s) = (offset + sum h + sum J) - 2 (sum of h_i
+ * over set bits + sum of J_ij over couplings whose bits differ). The values
+ * are exactly evaluate_state's, from independent integer adds instead of
+ * one dependent floating-point chain.
+ */
+class IntegralStateCosts
+{
+  public:
+    explicit IntegralStateCosts(const ising::IsingModel& model)
+        : base_(static_cast<std::int64_t>(model.offset()))
+    {
+        for (int i = 0; i < model.num_spins(); ++i) {
+            const auto h = static_cast<std::int64_t>(model.linear(i));
+            base_ += h;
+            if (h != 0)
+                fields_.push_back({i, i, h});
+        }
+        for (const auto& term : model.quadratic_terms()) {
+            const auto J = static_cast<std::int64_t>(term.coefficient);
+            base_ += J;
+            couplings_.push_back({term.i, term.j, J});
+        }
+    }
+
+    std::int64_t
+    operator()(std::uint64_t state) const
+    {
+        std::int64_t flipped = 0;
+        for (const auto& f : fields_)
+            flipped += f.c & -static_cast<std::int64_t>((state >> f.i) & 1);
+        for (const auto& t : couplings_)
+            flipped +=
+                t.c & -static_cast<std::int64_t>(
+                          ((state >> t.i) ^ (state >> t.j)) & 1);
+        return base_ - 2 * flipped;
+    }
+
+  private:
+    struct Term
+    {
+        int i, j;
+        std::int64_t c;
+    };
+    std::int64_t base_;
+    std::vector<Term> fields_;
+    std::vector<Term> couplings_;
+};
+
+/** First histogram state (ascending) at the minimum of @p cost; false
+ *  for an empty histogram. */
+template <class Cost>
+bool
+first_min_state(const sim::Counts& counts, const Cost& cost,
+                std::uint64_t& best_state)
+{
+    bool have_state = false;
+    decltype(cost(0)) best_cost{};
+    for (const auto& [state, _] : counts.histogram()) {
+        const auto c = cost(state);
+        if (!have_state || c < best_cost) {
+            have_state = true;
+            best_state = state;
+            best_cost = c;
+        }
+    }
+    return have_state;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // StreamingReducer
@@ -116,20 +221,23 @@ StreamingReducer::decode(int leaf_id, sim::Counts counts) const
     // Argmin over the histogram by SUB-MODEL cost: for freeze lineages the
     // offset bookkeeping makes this exactly the original-model cost of the
     // lifted outcome, at O(sub terms) per state instead of O(N + |J|).
-    bool have_state = false;
+    // Integral sub-models take exact integer costs: the same order and
+    // ties as evaluate_state, so the same state.
     std::uint64_t best_state = 0;
-    double best_sub_cost = std::numeric_limits<double>::infinity();
-    for (const auto& [state, _] : counts.histogram()) {
-        const double cost = sub.model.evaluate_state(state);
-        if (!have_state || cost < best_sub_cost) {
-            have_state = true;
-            best_state = state;
-            best_sub_cost = cost;
-        }
-    }
+    const bool have_state =
+        has_exact_integral_costs(sub.model)
+            ? first_min_state(counts, IntegralStateCosts(sub.model),
+                              best_state)
+            : first_min_state(
+                  counts,
+                  [&sub](std::uint64_t state) {
+                      return sub.model.evaluate_state(state);
+                  },
+                  best_state);
     out.counts = std::move(counts);
     if (!have_state)
         return out;
+    out.min_state = best_state;
 
     out.best_assignment =
         lift_leaf_state(tree_, leaf, best_state, base_);
@@ -228,6 +336,8 @@ std::vector<std::pair<int, sim::Counts>>
 StreamingReducer::export_folded(std::size_t folded) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    FQ_REQUIRE(!finished_,
+               "checkpoint export after finish() moved the histograms");
     FQ_REQUIRE(folded <= schedule_.executed.size(),
                "checkpoint export beyond the schedule");
     std::vector<std::pair<int, sim::Counts>> out;
@@ -243,26 +353,24 @@ StreamingReducer::export_folded(std::size_t folded) const
 }
 
 frozenqubits::SampledSolve
-StreamingReducer::finish_flat() const
+StreamingReducer::finish_flat()
 {
-    // Legacy reduction, delegated to the flat reducer: per-task counts in
-    // plan order (budget-skipped tasks contribute an empty histogram that
-    // decode_best skips) — bit-identical to the flat engine for a full
-    // (unbudgeted) schedule.
-    const auto& root = tree_.nodes.front();
-    const int sub_width =
-        original_.num_spins() -
-        static_cast<int>(root.plan.hotspots.size());
-    std::vector<sim::Counts> per_task(root.plan.tasks.size(),
-                                      sim::Counts(sub_width));
+    // The legacy 2^m-distribution result: per-sub-problem histograms in
+    // plan order (budget-skipped tasks leave theirs and their mirrors'
+    // empty) and decode_best's pick over them — bit-identical to the flat
+    // engine for a full (unbudgeted) schedule.
+    const auto& plan = tree_.nodes.front().plan;
+    const int n = original_.num_spins();
+    const int sub_width = n - static_cast<int>(plan.hotspots.size());
     // Map each leaf to its plan task through the node-local sub-problem
     // index, never by position: today the tree builder emits flat leaves in
     // task order, but a planner change that reorders them must trip the
     // requirements below instead of silently permuting distributions.
-    std::vector<int> task_of_solve(root.plan.subproblems.size(), -1);
-    for (std::size_t j = 0; j < root.plan.tasks.size(); ++j)
-        task_of_solve[static_cast<std::size_t>(root.plan.tasks[j].solve)] =
+    std::vector<int> task_of_solve(plan.subproblems.size(), -1);
+    for (std::size_t j = 0; j < plan.tasks.size(); ++j)
+        task_of_solve[static_cast<std::size_t>(plan.tasks[j].solve)] =
             static_cast<int>(j);
+    std::vector<int> leaf_of_task(plan.tasks.size(), -1);
     for (std::size_t k = 0; k < tree_.leaves.size(); ++k) {
         if (!outcomes_[k].done)
             continue;
@@ -275,15 +383,75 @@ StreamingReducer::finish_flat() const
             task_of_solve[static_cast<std::size_t>(leaf.local_solve)];
         FQ_REQUIRE(task >= 0,
                    "flat leaf's sub-problem has no matching plan task");
-        per_task[static_cast<std::size_t>(task)] = outcomes_[k].counts;
+        leaf_of_task[static_cast<std::size_t>(task)] = static_cast<int>(k);
     }
-    return reduce_sampling(original_, root.plan, per_task);
+
+    if (!has_exact_integral_costs(original_)) {
+        // Rounded costs: a sub-model argmin need not be the lifted one, so
+        // decode every sampled state on the original model.
+        std::vector<sim::Counts> per_task(plan.tasks.size(),
+                                          sim::Counts(sub_width));
+        for (std::size_t j = 0; j < plan.tasks.size(); ++j)
+            if (leaf_of_task[j] >= 0)
+                per_task[j] = std::move(
+                    outcomes_[static_cast<std::size_t>(leaf_of_task[j])]
+                        .counts);
+        return reduce_sampling(original_, plan, std::move(per_task));
+    }
+
+    // Exact costs: each fold's sub-model argmin already is decode_best's
+    // pick for its sub-problem — the first state (ascending) at the
+    // minimum. A mirror sub-problem never wins decode_best's first strict
+    // minimum: its costs are its solve partner's (mirrors are planned only
+    // for h = 0, where C(-z) = C(z)), and the partner comes first in plan
+    // order. So one candidate per executed task is the whole decode.
+    frozenqubits::SampledSolve out;
+    out.distributions.assign(plan.subproblems.size(),
+                             sim::Counts(sub_width));
+    std::vector<std::optional<std::uint64_t>> picks(
+        plan.subproblems.size());
+    for (std::size_t j = 0; j < plan.tasks.size(); ++j) {
+        if (leaf_of_task[j] < 0)
+            continue;
+        const auto& task = plan.tasks[j];
+        auto& outcome =
+            outcomes_[static_cast<std::size_t>(leaf_of_task[j])];
+        if (outcome.counts.total_shots() != 0)
+            picks[static_cast<std::size_t>(task.solve)] = outcome.min_state;
+        for (int mirror : task.mirrors) {
+            FQ_REQUIRE(mirror > task.solve,
+                       "flat plan lists a mirror before its solve task");
+            out.distributions[static_cast<std::size_t>(mirror)] =
+                outcome.counts.flip_all_bits();
+        }
+        out.distributions[static_cast<std::size_t>(task.solve)] =
+            std::move(outcome.counts);
+    }
+
+    out.best_cost = std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < picks.size(); ++s) {
+        if (!picks[s])
+            continue;
+        auto lifted =
+            frozenqubits::lift_state(plan.subproblems[s], *picks[s], n);
+        const double cost = original_.evaluate(lifted);
+        if (cost < out.best_cost) {
+            out.best_cost = cost;
+            out.best_assignment = std::move(lifted);
+            out.from_subproblem = static_cast<int>(s);
+        }
+    }
+    FQ_REQUIRE(out.from_subproblem >= 0,
+               "no outcomes to decode (all distributions empty)");
+    return out;
 }
 
 frozenqubits::SampledSolve
 StreamingReducer::finish()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    FQ_REQUIRE(!finished_, "StreamingReducer::finish() runs once");
+    finished_ = true;
 
     frozenqubits::SampledSolve out;
     if (tree_.flat()) {
@@ -311,10 +479,9 @@ StreamingReducer::finish()
         out.best_cost = best.best_cost;
         out.from_subproblem = best_leaf;
         for (int leaf_id : schedule_.executed) {
-            const auto& outcome =
-                outcomes_[static_cast<std::size_t>(leaf_id)];
+            auto& outcome = outcomes_[static_cast<std::size_t>(leaf_id)];
             if (outcome.done)
-                out.distributions.push_back(outcome.counts);
+                out.distributions.push_back(std::move(outcome.counts));
         }
     }
     out.best_quantum_cost = out.best_cost;

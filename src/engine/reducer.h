@@ -11,6 +11,7 @@
 #ifndef FQ_ENGINE_REDUCER_H
 #define FQ_ENGINE_REDUCER_H
 
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -33,13 +34,14 @@ frozenqubits::Report reduce_report(
     std::vector<frozenqubits::CircuitStats> per_task);
 
 /**
- * Build the SampledSolve from per-task output distributions (plan order):
- * mirror distributions are inferred by bit flipping (Section 3.7.2), then
- * the best lifted outcome across all 2^m sub-spaces is decoded.
+ * Build the SampledSolve from per-task output distributions (plan order,
+ * moved into SampledSolve::distributions): mirror distributions are
+ * inferred by bit flipping (Section 3.7.2), then the best lifted outcome
+ * across all 2^m sub-spaces is decoded by decode_best.
  */
 frozenqubits::SampledSolve reduce_sampling(
     const ising::IsingModel& model, const ExecutionPlan& plan,
-    const std::vector<sim::Counts>& per_task);
+    std::vector<sim::Counts> per_task);
 
 /**
  * Streaming tree reduction. The scheduler calls fold() from worker threads
@@ -54,9 +56,16 @@ frozenqubits::SampledSolve reduce_sampling(
  * fills the rest from the classical presolve assignment and greedy-repairs
  * on the original model (the D&C stitch, Section 1).
  *
- * Flat trees finish through the legacy 2^m-distribution path (decode_best
+ * Flat trees finish with the legacy 2^m-distribution result (decode_best
  * over mirror-completed distributions), so a default-config solve is
- * bit-identical to the flat engine.
+ * bit-identical to the flat engine. When the original model's costs are
+ * exact (finite integral offset, h and J with sum |c| <= 2^52; every
+ * ±1-class instance), fold() has already found decode_best's pick for
+ * each executed sub-problem (the first state at the sub-model minimum),
+ * and a mirror sub-problem can never be the pick (it ties its solve
+ * partner, which comes first). finish() then lifts one candidate per
+ * executed task instead of re-decoding every sampled state. Other models
+ * finish through reduce_sampling.
  */
 class StreamingReducer
 {
@@ -118,7 +127,11 @@ class StreamingReducer
     std::vector<std::pair<int, sim::Counts>>
     export_folded(std::size_t folded) const;
 
-    /** Final result; call once after every scheduled leaf folded. */
+    /**
+     * Final result; runs once, after every scheduled leaf folded. It moves
+     * the folded histograms into SampledSolve::distributions, so a second
+     * finish() or a later export_folded() is FQ_REQUIREd against.
+     */
     frozenqubits::SampledSolve finish();
 
   private:
@@ -128,10 +141,13 @@ class StreamingReducer
         sim::Counts counts;
         double best_cost = std::numeric_limits<double>::infinity();
         ising::SpinVector best_assignment;
+        /** First histogram state (ascending) at the minimum sub-model
+         *  cost; meaningful when counts is non-empty. */
+        std::uint64_t min_state = 0;
     };
 
     LeafOutcome decode(int leaf_id, sim::Counts counts) const;
-    frozenqubits::SampledSolve finish_flat() const;
+    frozenqubits::SampledSolve finish_flat();
 
     const ising::IsingModel& original_;
     const SolveTree& tree_;
@@ -141,6 +157,7 @@ class StreamingReducer
     mutable std::mutex mutex_;
     std::vector<LeafOutcome> outcomes_; ///< by leaf id
     Incumbent incumbent_;
+    bool finished_ = false;
 };
 
 } // namespace fq::engine

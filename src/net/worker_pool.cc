@@ -160,9 +160,11 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
     // ---------------------------------------------------- assignment --
     // Deterministic cost-weighted greedy: widest leaves first (stable on
     // the wave order), each to the arm with the lowest projected load
-    // relative to its thread capacity. Arm 0 is the local BatchExecutor;
-    // arms 1..N the live workers. Placement shapes only WHERE a leaf
-    // runs — never its counts — so the heuristic is free to be greedy.
+    // relative to its thread capacity; ties go to a remote worker, since
+    // the local arm also decodes and folds every remote reply. Arm 0 is
+    // the local BatchExecutor; arms 1..N the live workers. Placement
+    // shapes only WHERE a leaf runs — never its counts — so the heuristic
+    // is free to be greedy.
     std::vector<std::size_t> order(wave.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
@@ -199,7 +201,7 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
         double best_score = (load[0] + cost) / capacity[0];
         for (std::size_t a = 1; a < arms; ++a) {
             const double score = (load[a] + cost) / capacity[a];
-            if (score < best_score) {
+            if (score < best_score || (best == 0 && score == best_score)) {
                 best = a;
                 best_score = score;
             }

@@ -7,7 +7,9 @@
  * worker (weighted by its advertised thread count): slots are taken
  * widest-first and each goes to the arm with the lowest projected
  * relative load — one wide leaf costs 2^width units (leaf_slot_cost),
- * exactly the coin the wave assembler already charges.
+ * exactly the coin the wave assembler already charges. At equal load a
+ * remote worker wins: the local arm also decodes and folds every remote
+ * reply on the driving thread.
  *
  * Fault model — hedged re-dispatch: any transport defect on a worker
  * (connection reset, CRC mismatch, a reply naming a leaf that was never

@@ -12,10 +12,19 @@
  *                  - cos(2g (h_i-h_j)) prod_{k != i,j} cos(2g (J_ik-J_jk))]
  *
  * with J_ik = 0 for uncoupled pairs (cos(0) = 1 drops out of products).
- * Cost per evaluation is O(sum of term-neighborhood sizes), so 500-qubit
- * instances (the Section 6 practical-scale study) evaluate in microseconds
- * where a statevector would need 2^500 amplitudes. Property-tested against
- * the dense simulator for random instances.
+ *
+ * Cost. The formulas' structure depends only on the model: each product's
+ * factor list and the distinct arguments x of every cos(2g x) / sin(2g x).
+ * It is built once per call (one hash map per quadratic term for the union
+ * products, O(sum of term-neighbourhood sizes) in all), and once per
+ * optimize_p1 call for all of its evaluations. One evaluation then costs
+ * one std::cos / std::sin per DISTINCT argument (a handful for ±1 models)
+ * plus O(sum of term-neighbourhood sizes) multiplications, with no
+ * allocation. 500-qubit instances (the Section 6 practical-scale study)
+ * evaluate in microseconds where a statevector would need 2^500
+ * amplitudes. Every value is bitwise what a direct per-factor evaluation
+ * of the formulas gives (tests/test_qaoa.cc keeps that evaluation as an
+ * oracle), and property-tested against the dense simulator.
  */
 #ifndef FQ_QAOA_ANALYTIC_P1_H
 #define FQ_QAOA_ANALYTIC_P1_H
@@ -48,7 +57,7 @@ struct P1Expectations
 P1Expectations evaluate_p1(const ising::IsingModel& model,
                            const P1Angles& angles);
 
-/** Energy only (skips storing per-term values). */
+/** Energy only: builds no per-term vectors (bitwise evaluate_p1's energy). */
 double evaluate_p1_energy(const ising::IsingModel& model,
                           const P1Angles& angles);
 
@@ -56,7 +65,8 @@ double evaluate_p1_energy(const ising::IsingModel& model,
  * Optimize (gamma, beta) by dense grid search followed by local refinement
  * around the best cell. Returns the minimizing angles and energy. Grid
  * covers gamma, beta in [0, pi) x [0, pi), sufficient for one period of
- * integer-weight instances.
+ * integer-weight instances. grid_resolution^2 + 4 * refine_iterations
+ * evaluations, all sharing one structure build.
  */
 struct P1OptimizationResult
 {

@@ -19,7 +19,11 @@ Counts::add(std::uint64_t state, std::uint64_t count)
 {
     FQ_REQUIRE(state < (std::uint64_t(1) << num_qubits_),
                "state exceeds register width");
-    histogram_[state] += count;
+    // Ascending adds (wire decodes, flip_all_bits) append in O(1).
+    if (histogram_.empty() || state > histogram_.rbegin()->first)
+        histogram_.emplace_hint(histogram_.end(), state, count);
+    else
+        histogram_[state] += count;
     total_ += count;
 }
 
@@ -68,8 +72,9 @@ Counts::flip_all_bits() const
 {
     Counts out(num_qubits_);
     const std::uint64_t mask = low_bits_mask(num_qubits_);
-    for (const auto& [state, count] : histogram_)
-        out.add((~state) & mask, count);
+    // Descending states complement to ascending ones: every add appends.
+    for (auto it = histogram_.rbegin(); it != histogram_.rend(); ++it)
+        out.add((~it->first) & mask, it->second);
     return out;
 }
 

@@ -8,12 +8,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "device/catalog.h"
 #include "engine/engine.h"
+#include "engine/reducer.h"
+#include "engine/scheduler.h"
+#include "engine/solve_tree.h"
 #include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
@@ -385,6 +391,160 @@ TEST(Reducer, ReportWithNoExecutedTasksFailsLoudly)
     baseline.ev_ideal = -1.0;
     baseline.ev_noisy = -0.5;
     EXPECT_THROW(reduce_report(plan, baseline, {}), fq::Error);
+}
+
+/**
+ * Synthetic histogram for a flat leaf: @p shots (>= 1) draws over its
+ * register, topped up with other states tying the drawn minimum sub-model
+ * cost, so several states sit at the minimum. @p shots = 0: every state
+ * of the register once.
+ */
+sim::Counts
+tied_histogram(const ising::IsingModel& sub, int shots, Rng& rng)
+{
+    const int width = sub.num_spins();
+    const std::uint64_t dim = std::uint64_t(1) << width;
+    sim::Counts counts(width);
+    if (shots == 0) {
+        for (std::uint64_t state = 0; state < dim; ++state)
+            counts.add(state);
+        return counts;
+    }
+    const int draws = std::max(1, shots - 3);
+    double min_cost = std::numeric_limits<double>::infinity();
+    for (int d = 0; d < draws; ++d) {
+        const std::uint64_t state = rng.uniform_int(dim);
+        counts.add(state);
+        min_cost = std::min(min_cost, sub.evaluate_state(state));
+    }
+    int extra = shots - draws;
+    for (std::uint64_t state = 0; state < dim && extra > 0; ++state) {
+        if (sub.evaluate_state(state) == min_cost &&
+            counts.histogram().count(state) == 0) {
+            counts.add(state);
+            --extra;
+        }
+    }
+    return counts;
+}
+
+TEST(Reducer, FlatFinishMatchesReduceSampling)
+{
+    // The flat finish picks one candidate per sub-problem from the folds'
+    // argmins when costs are exact; reduce_sampling decodes every state
+    // on the original model. Same folds, same result, bit for bit.
+    const auto dev = device::make_device("ibm-montreal");
+    struct Case
+    {
+        const char* name;
+        ising::IsingModel model;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"pm1", ba_model(10, 2, 21)}); // integral, mirrors
+    {
+        auto model = ba_model(10, 2, 22); // integral fields: no mirrors
+        Rng rng(5);
+        for (int i = 0; i < model.num_spins(); ++i)
+            model.set_linear(i, static_cast<double>(rng.uniform_int(
+                                    std::int64_t(-2), std::int64_t(2))));
+        model.set_offset(7.0);
+        cases.push_back({"integer-fields", std::move(model)});
+    }
+    {
+        Rng rng(6); // fractional, h = 0: mirrors on the fallback path
+        auto g = graph::barabasi_albert(10, 2, rng);
+        graph::assign_gaussian_weights(g, rng);
+        cases.push_back({"gaussian", ising::IsingModel::from_graph(g)});
+    }
+    {
+        auto model = ba_model(10, 2, 23); // fractional field, no mirrors
+        model.set_linear(2, 0.25);
+        cases.push_back({"fractional-field", std::move(model)});
+    }
+    {
+        // Tenths round differently on the sub-model and the original, so
+        // their argmins over a full histogram disagree: only a decode on
+        // the original model gets this case right.
+        Rng rng(0);
+        ising::IsingModel model(7);
+        for (int i = 0; i < 7; ++i)
+            for (int j = i + 1; j < 7; ++j)
+                if (rng.bernoulli(0.6))
+                    model.add_quadratic(
+                        i, j,
+                        static_cast<double>(rng.uniform_int(
+                            std::int64_t(-9), std::int64_t(9))) /
+                            10.0);
+        cases.push_back({"tenths", std::move(model)});
+    }
+
+    int checked = 0;
+    for (const auto& c : cases) {
+        for (int freeze = 1; freeze <= 3; ++freeze) {
+            for (long long budget : {0LL, 1LL}) {
+                frozenqubits::DriverConfig config;
+                config.num_freeze = freeze;
+                config.max_circuits = budget;
+                TemplateCache cache;
+                Rng plan_rng(config.seed);
+                const auto tree =
+                    build_solve_tree(c.model, dev, config, cache, plan_rng);
+                ASSERT_TRUE(tree.flat());
+                const auto schedule = make_schedule(c.model, tree, config);
+                const auto& plan = tree.nodes.front().plan;
+                const int sub_width =
+                    c.model.num_spins() -
+                    static_cast<int>(plan.hotspots.size());
+
+                for (int shots : {1, 2, 7, 64, 0}) {
+                    SCOPED_TRACE(std::string(c.name) + " freeze " +
+                                 std::to_string(freeze) + " budget " +
+                                 std::to_string(budget) + " shots " +
+                                 std::to_string(shots));
+                    Rng rng(1000 * freeze + shots + 17 * budget);
+                    StreamingReducer reducer(c.model, tree, schedule);
+                    std::vector<sim::Counts> per_task(
+                        plan.tasks.size(), sim::Counts(sub_width));
+                    for (int leaf_id : schedule.executed) {
+                        const auto& leaf =
+                            tree.leaves[static_cast<std::size_t>(leaf_id)];
+                        auto counts = tied_histogram(
+                            tree.nodes[static_cast<std::size_t>(leaf.node)]
+                                .sub.model,
+                            shots, rng);
+                        for (std::size_t j = 0; j < plan.tasks.size(); ++j)
+                            if (plan.tasks[j].solve == leaf.local_solve)
+                                per_task[j] = counts;
+                        reducer.fold(leaf_id, std::move(counts));
+                    }
+                    const auto want =
+                        reduce_sampling(c.model, plan, per_task);
+                    const auto got = reducer.finish();
+
+                    EXPECT_EQ(got.best_quantum_cost, want.best_cost);
+                    EXPECT_EQ(got.best_quantum_leaf, want.from_subproblem);
+                    if (got.from_subproblem >= 0) { // presolve did not win
+                        EXPECT_EQ(got.best_cost, want.best_cost);
+                        EXPECT_EQ(got.best_assignment, want.best_assignment);
+                        EXPECT_EQ(got.from_subproblem, want.from_subproblem);
+                    }
+                    ASSERT_EQ(got.distributions.size(),
+                              want.distributions.size());
+                    for (std::size_t s = 0; s < want.distributions.size();
+                         ++s) {
+                        EXPECT_EQ(got.distributions[s].num_qubits(),
+                                  want.distributions[s].num_qubits());
+                        EXPECT_EQ(got.distributions[s].histogram(),
+                                  want.distributions[s].histogram());
+                    }
+                    EXPECT_THROW(reducer.finish(), fq::Error);
+                    EXPECT_THROW(reducer.export_folded(0), fq::Error);
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 5 * 3 * 2 * 5);
 }
 
 TEST(ExecutionEngine, FacadeMatchesEngine)

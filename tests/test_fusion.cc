@@ -364,10 +364,12 @@ TEST(FusionPass, BrokenSandwichIsNotFused)
     c.cx(1, 0); // reversed second CX
     const auto fused = circuit::fuse_diagonals(c);
     // Only the plain RZs become (single-qubit) diagonal ops.
-    for (const auto& op : fused.ops)
-        if (op.kind == circuit::FusedOp::Kind::Diagonal)
+    for (const auto& op : fused.ops) {
+        if (op.kind == circuit::FusedOp::Kind::Diagonal) {
             for (const auto& term : op.terms)
                 EXPECT_EQ(1, popcount64(term.mask));
+        }
+    }
 
     // And semantics are preserved regardless.
     NaiveState oracle(3);

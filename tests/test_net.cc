@@ -277,6 +277,34 @@ TEST(Distributed, OneWorkerMatchesLocalSerial)
     EXPECT_EQ(dispatched, diag.leaves_remote);
 }
 
+TEST(Distributed, EqualLoadTiesGoToWorkers)
+{
+    // One wave of eight equal-width leaves over a 1-thread local arm and
+    // two 1-thread workers: the greedy ties on every third leaf, and a tie
+    // goes remote (the driving thread also decodes and folds every
+    // reply), so the local arm takes 2 leaves, not 3.
+    const auto model = test::ba_model(16, 3, 11);
+    const auto dev = device::make_device("ibm-montreal");
+    auto config = small_config(1);
+    config.num_freeze = 4; // 16 sub-spaces, 8 executed 12-qubit leaves
+    const auto expected = local_solve(model, dev, config, 1024);
+
+    net::WorkerServer::Options wopts;
+    wopts.threads = 1;
+    WorkerFleet fleet(2, wopts);
+    engine::ExecutionEngine eng(config.threads);
+    net::WorkerPool pool(eng.local_leaf_executor(), eng.num_threads(),
+                         fleet.addresses);
+    eng.set_leaf_executor(&pool);
+    const auto got = eng.solve(model, dev, config, 1024, config.seed);
+
+    test::expect_solves_identical(expected, got);
+    const auto& diag = eng.last_diagnostics();
+    EXPECT_EQ(diag.epochs, 1);
+    EXPECT_EQ(diag.leaves_local, 2);
+    EXPECT_EQ(diag.leaves_remote, 6);
+}
+
 TEST(Distributed, FourWorkersMatchLocalThreaded)
 {
     const auto model = test::ba_model(18, 3, 13);

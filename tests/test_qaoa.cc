@@ -8,6 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.h"
 #include "graph/generators.h"
@@ -232,6 +238,247 @@ TEST(AnalyticP1, ScalesToPracticalSizes)
     const double e = evaluate_p1_energy(model, {0.35, 0.2});
     EXPECT_TRUE(std::isfinite(e));
     EXPECT_LT(std::abs(e), 499.0); // |EV| bounded by total coupling weight
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise oracle: the library builds the formulas' structure once per model
+// and interns the cos/sin arguments; these per-call formulas evaluate every
+// factor directly. Both must agree to the last bit.
+
+namespace reference {
+
+double
+neighbor_cos_product(const ising::IsingModel& model, int i, double gamma,
+                     int exclude)
+{
+    double prod = 1.0;
+    for (const auto& [k, J] : model.couplings_of(i)) {
+        if (k == exclude)
+            continue;
+        prod *= std::cos(2.0 * gamma * J);
+    }
+    return prod;
+}
+
+void
+union_cos_products(const ising::IsingModel& model, int i, int j, double gamma,
+                   double& prod_sum, double& prod_diff)
+{
+    prod_sum = 1.0;
+    prod_diff = 1.0;
+    std::unordered_map<int, std::pair<double, double>> merged;
+    for (const auto& [k, J] : model.couplings_of(i)) {
+        if (k != j)
+            merged[k].first = J;
+    }
+    for (const auto& [k, J] : model.couplings_of(j)) {
+        if (k != i)
+            merged[k].second = J;
+    }
+    for (const auto& [k, Js] : merged) {
+        (void)k;
+        prod_sum *= std::cos(2.0 * gamma * (Js.first + Js.second));
+        prod_diff *= std::cos(2.0 * gamma * (Js.first - Js.second));
+    }
+}
+
+P1Expectations
+evaluate(const ising::IsingModel& model, const P1Angles& angles)
+{
+    const double g = angles.gamma;
+    const double b = angles.beta;
+    const int n = model.num_spins();
+
+    P1Expectations out;
+    out.z.resize(n);
+    const double sin_2b = std::sin(2.0 * b);
+    const double sin_4b = std::sin(4.0 * b);
+    for (int i = 0; i < n; ++i) {
+        out.z[i] = sin_2b * std::sin(2.0 * g * model.linear(i)) *
+                   neighbor_cos_product(model, i, g, /*exclude=*/-1);
+    }
+    for (const auto& term : model.quadratic_terms()) {
+        const int i = term.i, j = term.j;
+        const double hi = model.linear(i), hj = model.linear(j);
+        const double prod_i = neighbor_cos_product(model, i, g, j);
+        const double prod_j = neighbor_cos_product(model, j, g, i);
+        const double first =
+            0.5 * sin_4b * std::sin(2.0 * g * term.coefficient) *
+            (std::cos(2.0 * g * hi) * prod_i +
+             std::cos(2.0 * g * hj) * prod_j);
+        double prod_sum, prod_diff;
+        union_cos_products(model, i, j, g, prod_sum, prod_diff);
+        const double second =
+            0.5 * sin_2b * sin_2b *
+            (std::cos(2.0 * g * (hi + hj)) * prod_sum -
+             std::cos(2.0 * g * (hi - hj)) * prod_diff);
+        out.zz.push_back(first - second);
+    }
+    out.energy = model.offset();
+    for (int i = 0; i < n; ++i)
+        out.energy += model.linear(i) * out.z[i];
+    const auto& terms = model.quadratic_terms();
+    for (std::size_t t = 0; t < terms.size(); ++t)
+        out.energy += terms[t].coefficient * out.zz[t];
+    return out;
+}
+
+P1OptimizationResult
+optimize(const ising::IsingModel& model, int grid_resolution,
+         int refine_iterations)
+{
+    P1OptimizationResult result;
+    result.energy = std::numeric_limits<double>::infinity();
+    const double pi = M_PI;
+    for (int a = 0; a < grid_resolution; ++a) {
+        for (int c = 0; c < grid_resolution; ++c) {
+            P1Angles angles{a * pi / grid_resolution,
+                            c * pi / grid_resolution};
+            const double e = evaluate(model, angles).energy;
+            ++result.evaluations;
+            if (e < result.energy) {
+                result.energy = e;
+                result.angles = angles;
+            }
+        }
+    }
+    double step = pi / grid_resolution;
+    for (int it = 0; it < refine_iterations; ++it) {
+        bool improved = false;
+        const P1Angles base = result.angles;
+        const P1Angles candidates[] = {
+            {base.gamma + step, base.beta}, {base.gamma - step, base.beta},
+            {base.gamma, base.beta + step}, {base.gamma, base.beta - step},
+        };
+        for (const auto& cand : candidates) {
+            const double e = evaluate(model, cand).energy;
+            ++result.evaluations;
+            if (e < result.energy) {
+                result.energy = e;
+                result.angles = cand;
+                improved = true;
+            }
+        }
+        if (!improved)
+            step *= 0.5;
+    }
+    return result;
+}
+
+} // namespace reference
+
+std::uint64_t
+bits_of(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/** Oracle models: ±1 BA, Gaussian, integer fields, an isolated spin and
+ *  −0.0 coefficients (h, J and offset). */
+std::vector<std::pair<std::string, ising::IsingModel>>
+oracle_models()
+{
+    std::vector<std::pair<std::string, ising::IsingModel>> models;
+    Rng rng(77);
+    for (int n : {6, 13, 18}) {
+        auto g = graph::barabasi_albert(n, 3, rng);
+        graph::assign_random_pm1_weights(g, rng);
+        models.emplace_back("pm1-ba3-n" + std::to_string(n),
+                            ising::IsingModel::from_graph(g));
+    }
+    {
+        auto g = graph::barabasi_albert(12, 2, rng);
+        graph::assign_gaussian_weights(g, rng);
+        auto model = ising::IsingModel::from_graph(g);
+        for (int i = 0; i < model.num_spins(); ++i)
+            model.set_linear(i, rng.normal());
+        model.set_offset(rng.normal());
+        models.emplace_back("gaussian", std::move(model));
+    }
+    {
+        auto g = graph::barabasi_albert(14, 3, rng);
+        graph::assign_random_pm1_weights(g, rng);
+        auto model = ising::IsingModel::from_graph(g);
+        for (int i = 0; i < model.num_spins(); ++i)
+            model.set_linear(
+                i, static_cast<double>(rng.uniform_int(std::int64_t(-4),
+                                                       std::int64_t(4))));
+        model.set_offset(-3.0);
+        models.emplace_back("integer-fields", std::move(model));
+    }
+    {
+        ising::IsingModel model(5); // spin 4 has no couplings
+        model.add_quadratic(0, 1, 1.0);
+        model.add_quadratic(1, 2, -1.0);
+        model.add_quadratic(0, 2, 1.0);
+        model.add_quadratic(2, 3, -1.0);
+        model.set_linear(4, 1.0);
+        model.set_linear(1, 2.0);
+        models.emplace_back("isolated-spin", std::move(model));
+    }
+    {
+        ising::IsingModel model(5);
+        model.add_quadratic(0, 1, 1.0);
+        model.add_quadratic(1, 2, -0.0);
+        model.add_quadratic(2, 3, -1.0);
+        model.add_quadratic(3, 4, 0.5);
+        model.add_quadratic(0, 3, 1.0);
+        model.set_linear(2, -0.0);
+        model.set_linear(3, 1.0);
+        model.set_offset(-0.0);
+        models.emplace_back("negative-zero", std::move(model));
+    }
+    return models;
+}
+
+TEST(AnalyticP1Oracle, EvaluateIsBitwiseThePerCallFormulas)
+{
+    Rng rng(91);
+    for (const auto& [name, model] : oracle_models()) {
+        for (int trial = 0; trial < 40; ++trial) {
+            // Zero, grid-like and random angles, including one period out.
+            const P1Angles angles =
+                trial == 0 ? P1Angles{0.0, 0.0}
+                           : P1Angles{rng.uniform(-M_PI, 2.0 * M_PI),
+                                      rng.uniform(-M_PI, 2.0 * M_PI)};
+            const auto got = evaluate_p1(model, angles);
+            const auto want = reference::evaluate(model, angles);
+            ASSERT_EQ(got.z.size(), want.z.size()) << name;
+            ASSERT_EQ(got.zz.size(), want.zz.size()) << name;
+            for (std::size_t i = 0; i < want.z.size(); ++i)
+                ASSERT_EQ(bits_of(got.z[i]), bits_of(want.z[i]))
+                    << name << " <Z_" << i << "> trial " << trial;
+            for (std::size_t t = 0; t < want.zz.size(); ++t)
+                ASSERT_EQ(bits_of(got.zz[t]), bits_of(want.zz[t]))
+                    << name << " <ZZ> term " << t << " trial " << trial;
+            ASSERT_EQ(bits_of(got.energy), bits_of(want.energy))
+                << name << " energy, trial " << trial;
+            ASSERT_EQ(bits_of(evaluate_p1_energy(model, angles)),
+                      bits_of(want.energy))
+                << name << " energy-only path, trial " << trial;
+        }
+    }
+}
+
+TEST(AnalyticP1Oracle, OptimizerIsBitwiseThePerCallOptimizer)
+{
+    for (const auto& [name, model] : oracle_models()) {
+        for (const auto& [grid, refine] :
+             {std::pair<int, int>{32, 24}, {7, 5}}) {
+            const auto got = optimize_p1(model, grid, refine);
+            const auto want = reference::optimize(model, grid, refine);
+            EXPECT_EQ(bits_of(got.angles.gamma), bits_of(want.angles.gamma))
+                << name << " grid " << grid;
+            EXPECT_EQ(bits_of(got.angles.beta), bits_of(want.angles.beta))
+                << name << " grid " << grid;
+            EXPECT_EQ(bits_of(got.energy), bits_of(want.energy))
+                << name << " grid " << grid;
+            EXPECT_EQ(got.evaluations, want.evaluations)
+                << name << " grid " << grid;
+        }
+    }
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "common/error.h"
@@ -234,6 +237,29 @@ TEST(Counts, ExpectationAndBest)
     EXPECT_DOUBLE_EQ(best.cost, -1.0);
     EXPECT_EQ(best.state, 0b01u);
     EXPECT_EQ(best.multiplicity, 75u);
+}
+
+TEST(Counts, AddAccumulatesInAnyOrder)
+{
+    // Ascending adds take an append path; repeats of the last state,
+    // descending and interleaved adds must accumulate exactly as a plain
+    // per-state sum does.
+    Rng rng(12);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> adds = {
+        {5, 1}, {5, 2}, {9, 1}, {3, 4}, {9, 0}, {12, 1}, {0, 2}, {12, 3}};
+    for (int k = 0; k < 200; ++k)
+        adds.emplace_back(rng() & 0xff, 1 + (rng() & 3));
+    Counts c(8);
+    std::map<std::uint64_t, std::uint64_t> want;
+    std::uint64_t total = 0;
+    for (const auto& [state, count] : adds) {
+        c.add(state, count);
+        want[state] += count;
+        total += count;
+    }
+    EXPECT_EQ(c.histogram(), want);
+    EXPECT_EQ(c.total_shots(), total);
+    EXPECT_EQ(c.flip_all_bits().flip_all_bits().histogram(), want);
 }
 
 TEST(Counts, FlipAllBitsMapsMirrorExpectations)
