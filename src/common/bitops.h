@@ -10,8 +10,28 @@
 #define FQ_COMMON_BITOPS_H
 
 #include <cstdint>
+#include <cstring>
 
 namespace fq {
+
+/** Bit-exact 64-bit view of a double (-0.0 and NaN payloads included). */
+inline std::uint64_t
+double_bits(double v)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** Inverse of double_bits. */
+inline double
+bits_double(std::uint64_t bits)
+{
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
 
 /** Spin value {-1,+1} of bit @p i inside basis-state index @p state. */
 inline int

@@ -33,6 +33,10 @@
  *
  * Framing: magic + version + payload length + CRC32(payload). Truncation,
  * bit flips, wrong magic and unknown versions all throw CheckpointError.
+ * The bytes go through the shared little-endian codec (common/byte_codec.h)
+ * with u32 length prefixes, so a length field that lies under a valid CRC
+ * is a CheckpointError too, raised before anything is sized by it.
+ * Restore admits each folded histogram only through sim::rebuild_counts.
  *
  * Format history: version 2 adds a per-folded-record node-kind frame tag
  * (the reduction arm the leaf executed under, from the kind-metadata
@@ -52,12 +56,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "engine/expander.h"
 #include "engine/wave_loop.h"
+#include "sim/counts.h"
 
 namespace fq::engine {
 
@@ -108,9 +112,9 @@ struct SolveCheckpoint
     {
         int leaf_id = 0;
         int width = 0;
-        /** (state, count) pairs in ascending state order — sim::Counts'
-         *  own deterministic map order, so round-trips are exact. */
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> histogram;
+        /** Ascending (state, count) pairs; restore admits them only
+         *  through sim::rebuild_counts. */
+        sim::HistogramEntries histogram;
         /** NodeKindInfo::frame_tag of the reduction arm (the leaf's
          *  parent node kind) — version 2 wire field. kNoKindTag for
          *  records decoded from a version-1 snapshot; restore skips the
@@ -171,12 +175,14 @@ SolveCheckpoint capture_checkpoint(const WaveRequest& request);
  * (cursor 0, reducer empty) from the SAME (model, dev, config, seed,
  * shots) — fingerprint-checked, CheckpointError on any mismatch. The
  * snapshot's schedule partition is validated (every leaf id exactly once
- * across executed/beyond_budget/pruned; FQ_REQUIRE that the cursor never
- * exceeds the scheduled-leaf count), the folded histograms are re-folded
- * through the reducer, and the rebuilt incumbent must reproduce the
- * recorded one bit for bit (CheckpointError otherwise — the snapshot was
- * corrupted in a way the CRC framing could not see). On success the
- * request continues mid-schedule as if it had never stopped.
+ * across executed/beyond_budget/pruned; the cursor strictly inside the
+ * scheduled-leaf list) and every folded histogram must pass
+ * sim::rebuild_counts, all before the first fold — CheckpointError
+ * otherwise. The histograms are then re-folded through the reducer, and
+ * the rebuilt incumbent must reproduce the recorded one bit for bit
+ * (CheckpointError otherwise — the snapshot was corrupted in a way the
+ * CRC framing could not see). On success the request continues
+ * mid-schedule as if it had never stopped.
  */
 void restore_checkpoint(const SolveCheckpoint& snapshot,
                         WaveRequest& request);

@@ -1,8 +1,8 @@
 #include "engine/template_cache.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bitops.h"
 #include "common/rng.h"
 
 namespace fq::engine {
@@ -18,10 +18,7 @@ mix(std::uint64_t h, std::uint64_t v)
 std::uint64_t
 mix_double(std::uint64_t h, double v)
 {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return mix(h, bits);
+    return mix(h, double_bits(v));
 }
 
 /** Salt for the hit-verification fingerprint (independent hash chain). */

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/byte_codec.h"
 #include "common/crc32.h"
 
 namespace fq::net {
@@ -15,38 +16,6 @@ namespace fq::net {
 namespace {
 
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
-
-void
-put_u32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    for (int k = 0; k < 4; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void
-put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int k = 0; k < 8; ++k)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-std::uint32_t
-get_u32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k)
-        v |= static_cast<std::uint32_t>(p[k]) << (8 * k);
-    return v;
-}
-
-std::uint64_t
-get_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int k = 0; k < 8; ++k)
-        v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
-    return v;
-}
 
 /** Milliseconds left before @p deadline, clamped at 0; -1 = no deadline. */
 int
@@ -107,14 +76,13 @@ frame_wire_size(std::size_t payload_size)
 std::vector<std::uint8_t>
 encode_frame(std::uint32_t type, const std::vector<std::uint8_t>& payload)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(frame_wire_size(payload.size()));
-    put_u32(out, kFrameMagic);
-    put_u32(out, type);
-    put_u64(out, payload.size());
-    put_u32(out, common::crc32(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    common::ByteWriter<std::uint64_t> out(frame_wire_size(payload.size()));
+    out.u32(kFrameMagic);
+    out.u32(type);
+    out.u64(payload.size());
+    out.u32(common::crc32(payload.data(), payload.size()));
+    out.raw(payload);
+    return out.take();
 }
 
 void
@@ -159,13 +127,15 @@ read_frame(int fd, int timeout_ms)
                               timeout_ms >= 0 ? timeout_ms : 0);
     std::uint8_t header[kHeaderSize];
     read_exact(fd, header, kHeaderSize, timeout_ms, deadline);
-    if (get_u32(header) != kFrameMagic)
+    common::ByteReader<std::uint64_t, NetError> in(header, kHeaderSize,
+                                                   "net: frame header");
+    if (in.u32() != kFrameMagic)
         throw NetError("net: bad frame magic (stream corrupt or not a "
                        "worker endpoint)");
     Frame frame;
-    frame.type = get_u32(header + 4);
-    const std::uint64_t length = get_u64(header + 8);
-    const std::uint32_t crc = get_u32(header + 16);
+    frame.type = in.u32();
+    const std::uint64_t length = in.u64();
+    const std::uint32_t crc = in.u32();
     if (length > kMaxFramePayload)
         throw NetError("net: frame length exceeds limit (corrupt stream)");
     frame.payload.resize(static_cast<std::size_t>(length));

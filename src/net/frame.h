@@ -3,8 +3,9 @@
  * Wire framing for the distributed-execution protocol: length-prefixed,
  * CRC-checked message frames over a stream socket (Unix or TCP).
  *
- * Frame layout (all little-endian, mirroring the checkpoint container in
- * engine/checkpoint.cc and reusing its CRC-32):
+ * Frame layout, written and read by the shared little-endian codec
+ * (common/byte_codec.h) that also carries every wire message and the
+ * checkpoint format, with the shared CRC-32 (common/crc32.h):
  *
  *   magic   u32   "FQNW"
  *   type    u32   message type (net/wire.h)

@@ -35,18 +35,24 @@
  * Only result-relevant config fields travel (the config_fingerprint set
  * plus the result-neutral parametric_templates toggle); execution-local
  * knobs like thread count stay per-process.
+ *
+ * Bytes: the shared little-endian codec (common/byte_codec.h) with u64
+ * length prefixes; any decode defect is a NetError. A LeafCounts histogram
+ * is admitted only through sim::rebuild_counts; a reply that fails it is a
+ * protocol violation, so the WorkerPool marks the worker dead and re-runs
+ * its leaves locally.
  */
 #ifndef FQ_NET_WIRE_H
 #define FQ_NET_WIRE_H
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "frozenqubits/driver.h"
 #include "ising/ising_model.h"
 #include "net/frame.h"
+#include "sim/counts.h"
 
 namespace fq::net {
 
@@ -106,7 +112,7 @@ struct LeafCounts
     std::uint8_t fused_hit = 0;
     std::uint8_t tier = 0; ///< engine::TemplateTier
     std::int32_t width = 0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> histogram;
+    sim::HistogramEntries histogram; ///< checked by sim::rebuild_counts
 };
 
 struct LeafFailed

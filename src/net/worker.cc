@@ -288,10 +288,8 @@ WorkerServer::serve_connection(Fd client)
                     reply.fused_hit = out.fused_hit ? 1 : 0;
                     reply.tier = static_cast<std::uint8_t>(out.tier);
                     reply.width = out.counts.num_qubits();
-                    reply.histogram.reserve(out.counts.num_distinct());
-                    for (const auto& [state, count] :
-                         out.counts.histogram())
-                        reply.histogram.emplace_back(state, count);
+                    reply.histogram.assign(out.counts.histogram().begin(),
+                                           out.counts.histogram().end());
                     write_frame(client.get(), kMsgLeafCounts,
                                 encode_leaf_counts(reply));
                 }

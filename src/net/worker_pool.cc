@@ -329,9 +329,13 @@ WorkerPool::execute_wave(const std::vector<engine::WaveSlot>& wave,
                     if (msg.width != r.tree->leaf_width(slot.leaf_id))
                         throw NetError("net: reply width contradicts the "
                                        "plan");
-                    sim::Counts counts(msg.width);
-                    for (const auto& [state, count] : msg.histogram)
-                        counts.add(state, count);
+                    sim::Counts counts;
+                    const std::string refused = sim::rebuild_counts(
+                        msg.width, static_cast<std::uint64_t>(r.shots),
+                        msg.histogram, counts);
+                    if (!refused.empty())
+                        throw NetError("net: reply histogram refused: " +
+                                       refused);
                     entries.erase(it);
                     auto& stat = stats_for(&r);
                     stat.leaves_remote += 1;

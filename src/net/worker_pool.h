@@ -13,9 +13,10 @@
  *
  * Fault model — hedged re-dispatch: any transport defect on a worker
  * (connection reset, CRC mismatch, a reply naming a leaf that was never
- * dispatched, a width that contradicts the plan, or silence past
- * hedge_timeout_ms) marks that worker dead, and every leaf it still owed
- * re-runs on the local arm inside the SAME wave. Because
+ * dispatched, a width that contradicts the plan, a histogram that
+ * sim::rebuild_counts refuses, or silence past hedge_timeout_ms) marks
+ * that worker dead, and every leaf it still owed re-runs on the local arm
+ * inside the SAME wave. Because
  * simulate_scheduled_leaf is a pure function of
  * (cache contents, tree, leaf, dev, config, shots), a re-dispatched leaf
  * folds byte-identical counts — worker death is invisible in the results,

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <unordered_map>
 
+#include "common/bitops.h"
 #include "common/error.h"
 
 namespace fq::qaoa {
@@ -167,10 +167,8 @@ class P1Structure
         std::uint32_t
         intern(double x)
         {
-            std::uint64_t bits;
-            std::memcpy(&bits, &x, sizeof bits);
             const auto [it, inserted] = index.emplace(
-                bits, static_cast<std::uint32_t>(values.size()));
+                double_bits(x), static_cast<std::uint32_t>(values.size()));
             if (inserted)
                 values.push_back(x);
             return it->second;

@@ -112,6 +112,35 @@ Counts::total_variation_distance(const Counts& other) const
     return tvd / 2.0;
 }
 
+std::string
+rebuild_counts(int width, std::uint64_t shots,
+               const HistogramEntries& entries, Counts& out)
+{
+    if (width < 1 || width > 63)
+        return "register width " + std::to_string(width) +
+               " is outside 1..63";
+    Counts counts(width);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        const auto [state, count] = entries[k];
+        if (k > 0 && state <= entries[k - 1].first)
+            return "states are not strictly ascending at entry " +
+                   std::to_string(k);
+        if (state >> width != 0)
+            return "state " + std::to_string(state) + " does not fit " +
+                   std::to_string(width) + " qubits";
+        if (count == 0)
+            return "state " + std::to_string(state) + " has count 0";
+        if (count > shots - counts.total_shots())
+            return "counts exceed the " + std::to_string(shots) + " shots";
+        counts.add(state, count);
+    }
+    if (counts.total_shots() != shots)
+        return "counts total " + std::to_string(counts.total_shots()) +
+               " of " + std::to_string(shots) + " shots";
+    out = std::move(counts);
+    return {};
+}
+
 Counts
 apply_readout_errors(const Counts& counts,
                      const std::vector<double>& flip_probability, Rng& rng)

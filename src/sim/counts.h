@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -74,6 +76,21 @@ class Counts
     std::uint64_t total_ = 0;
     std::map<std::uint64_t, std::uint64_t> histogram_;
 };
+
+/** A histogram as it crosses a process boundary (worker replies,
+ *  checkpoint records): (state, count) pairs, strictly ascending by state
+ *  as Counts::histogram() iterates. */
+using HistogramEntries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/**
+ * The one validating rebuild of a histogram that crossed a process
+ * boundary: @p width in 1..63, states strictly ascending and below
+ * 2^width, every count >= 1, counts summing to @p shots without overflow.
+ * Returns "" and fills @p out, or returns why the entries were refused
+ * (@p out untouched) for the caller to raise as its own typed error.
+ */
+std::string rebuild_counts(int width, std::uint64_t shots,
+                           const HistogramEntries& entries, Counts& out);
 
 /** Flip each bit of each sample independently with its readout-error
  *  probability (per-qubit), modeling measurement errors. */

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <unordered_map>
 
 #include "common/bitops.h"
@@ -236,15 +235,6 @@ class IntegralSpinTerms
     std::vector<std::int64_t> field_; ///< summed 1-bit coefficients
     std::vector<Coupling> couplings_; ///< 2-bit terms, in input order
 };
-
-std::uint64_t
-double_bits(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
 
 /** Content fingerprint of a term list (for table sharing across layers). */
 std::uint64_t

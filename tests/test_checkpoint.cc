@@ -12,16 +12,20 @@
  *     snapshot resumes the full solve;
  *   - a corrupted cursor (>= scheduled-leaf count) is rejected before
  *     any fold (the satellite regression for the restore invariant);
+ *   - a length field that lies under a valid CRC is a CheckpointError,
+ *     never an allocation sized by the lie;
  *   - deadline admission: an unmeetable budget throws DeadlineError at
  *     plan time; a trimmed solve is degraded, reports the trim, and
  *     stays bit-identical across thread counts.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/error.h"
 #include "device/catalog.h"
 #include "engine/checkpoint.h"
@@ -282,6 +286,71 @@ TEST(Checkpoint, CorruptedCursorIsRejectedBeforeAnyFold)
     ExecutionEngine eng(1);
     EXPECT_THROW(eng.resume(w.model, dev, w.config, w.shots, decoded),
                  fq::Error);
+}
+
+/**
+ * @p bytes with the u32 that sits @p skip bytes after the first copy of
+ * the little-endian @p marker overwritten by @p value, and the CRC
+ * re-sealed: the frame stays valid, so only the decoder's own bounds can
+ * refuse the lie.
+ */
+std::vector<std::uint8_t>
+lie_after(std::vector<std::uint8_t> bytes, std::uint32_t marker,
+          std::size_t skip, std::uint32_t value)
+{
+    constexpr std::size_t kHeader = 4 + 4 + 8 + 4;
+    const auto le = [](std::uint8_t* at, std::uint32_t v) {
+        for (int k = 0; k < 4; ++k)
+            at[k] = static_cast<std::uint8_t>(v >> (8 * k));
+    };
+    std::uint8_t needle[4];
+    le(needle, marker);
+    const auto at = std::search(bytes.begin() + kHeader, bytes.end(),
+                                needle, needle + 4);
+    EXPECT_NE(at, bytes.end());
+    le(&*at + 4 + skip, value);
+    le(bytes.data() + 16,
+       common::crc32(bytes.data() + kHeader, bytes.size() - kHeader));
+    return bytes;
+}
+
+TEST(Checkpoint, LyingLengthFieldsAreCheckpointErrors)
+{
+    // Every length field of the payload claims 2^32 - 1 entries under a
+    // valid CRC. Each must fail as a CheckpointError before the decoder
+    // sizes anything by it — never std::bad_alloc.
+    SolveCheckpoint ck;
+    ck.plan_hash = 0x0A0A0A0A0A0A0A0Aull; // device name length follows
+    ck.device_name = "ibm-montreal";
+    ck.epochs = 0x0B0B0B0B; // executed list length follows
+    ck.executed = {0, 1};
+    ck.deadline_trimmed = 0x0C0C0C0C; // folded record count follows
+    ck.folded.push_back(
+        {0, 0x0D0D0D0D, {{1, 2}, {3, 4}},
+         node_kind_info(NodeKind::Freeze).frame_tag}); // then tag, entries
+    ck.incumbent_leaf = 0x0E0E0E0E; // assignment length follows
+    ck.incumbent_assignment = {1, -1, 1};
+    const auto bytes = encode_checkpoint(ck);
+    ASSERT_NO_THROW(decode_checkpoint(bytes.data(), bytes.size()));
+
+    const struct
+    {
+        const char* field;
+        std::uint32_t marker;
+        std::size_t skip;
+    } fields[] = {
+        {"device name", 0x0A0A0A0A, 4},
+        {"executed", 0x0B0B0B0B, 0},
+        {"folded records", 0x0C0C0C0C, 0},
+        {"histogram entries", 0x0D0D0D0D, 1},
+        {"incumbent spins", 0x0E0E0E0E, 0},
+    };
+    for (const auto& f : fields) {
+        SCOPED_TRACE(f.field);
+        const auto lie = lie_after(bytes, f.marker, f.skip, 0xFFFFFFFFu);
+        EXPECT_THROW(decode_checkpoint(lie.data(), lie.size()),
+                     CheckpointError);
+    }
 }
 
 TEST(Checkpoint, DeadlineRejectsUnmeetableBudgetAtPlanTime)

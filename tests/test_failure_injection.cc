@@ -392,6 +392,61 @@ TEST(FailureInjection, CheckpointUnknownNodeKindFrame)
                  engine::CheckpointError);
 }
 
+TEST(FailureInjection, CheckpointCorruptHistogramsRejectedOnRestore)
+{
+    // Records whose frame, width and arm are all right but whose
+    // histogram lies: each must be refused by the validating rebuild with
+    // a CheckpointError before any fold, never a plain fq::Error from
+    // sim::Counts and never a silently wrong re-fold. A cursor past the
+    // schedule is the same kind of corruption.
+    const auto model = durable_model();
+    const auto config = durable_config();
+    const auto dev = device::make_device("ibm-montreal");
+    const auto snapshot = sample_snapshot(model, config);
+    ASSERT_FALSE(snapshot.folded.empty());
+    ASSERT_GE(snapshot.folded.front().histogram.size(), 2u);
+    const int width = snapshot.folded.front().width;
+
+    using Corrupt = void (*)(engine::SolveCheckpoint&, int);
+    const std::pair<const char*, Corrupt> cases[] = {
+        {"state out of range",
+         [](engine::SolveCheckpoint& ck, int w) {
+             ck.folded.front().histogram.back().first = std::uint64_t{1}
+                                                        << w;
+         }},
+        {"wrong shot total",
+         [](engine::SolveCheckpoint& ck, int) {
+             ck.folded.front().histogram.back().second += 1;
+         }},
+        {"unsorted states",
+         [](engine::SolveCheckpoint& ck, int) {
+             auto& h = ck.folded.front().histogram;
+             std::swap(h.front(), h.back());
+         }},
+        {"zero count",
+         [](engine::SolveCheckpoint& ck, int) {
+             auto& h = ck.folded.front().histogram;
+             h.front().second += h.back().second;
+             h.back().second = 0;
+         }},
+        {"cursor past the schedule",
+         [](engine::SolveCheckpoint& ck, int) {
+             ck.cursor = ck.executed.size();
+         }},
+    };
+    for (const auto& [name, corrupt] : cases) {
+        SCOPED_TRACE(name);
+        auto bad = snapshot;
+        corrupt(bad, width);
+        const auto bytes = engine::encode_checkpoint(bad);
+        const auto decoded =
+            engine::decode_checkpoint(bytes.data(), bytes.size());
+        engine::ExecutionEngine eng(1);
+        EXPECT_THROW(eng.resume(model, dev, config, 128, decoded),
+                     engine::CheckpointError);
+    }
+}
+
 TEST(FailureInjection, CheckpointOfFinishedRequestRejected)
 {
     const auto model = durable_model();
@@ -471,13 +526,23 @@ TEST(FailureInjection, DeadlineRejection)
  * misbehaves on its first ExecBatch. Each misbehavior exercises a
  * distinct validation layer in the coordinator: CorruptFrame fails the
  * CRC in read_frame, WrongLeafId fails the outstanding-ledger check,
- * WrongWidth fails the reply-vs-plan width check. All three must mark
- * the worker dead and hedge its leaves onto the local arm — with the
- * final results bitwise-equal to an uninterrupted local solve.
+ * WrongWidth fails the reply-vs-plan width check. The last three send the
+ * plan's true width (model spins minus num_freeze) with a lying histogram
+ * that only sim::rebuild_counts can refuse: a state of 2^width, a total
+ * one shot short, and descending states. All must mark the worker dead
+ * and hedge its leaves onto the local arm — with the final results
+ * bitwise-equal to an uninterrupted local solve.
  */
 struct MockWorker
 {
-    enum class Mode { CorruptFrame, WrongLeafId, WrongWidth };
+    enum class Mode {
+        CorruptFrame,
+        WrongLeafId,
+        WrongWidth,
+        StateOutOfRange,
+        WrongShotTotal,
+        UnsortedStates,
+    };
 
     std::string address;
     net::Fd listen_fd;
@@ -512,11 +577,15 @@ struct MockWorker
             net::write_frame(client.get(), net::kMsgWorkerHello,
                              net::encode_worker_hello(
                                  {net::kProtocolVersion, 1}));
+            int width = 0;
+            std::uint64_t shots = 0;
             for (;;) {
                 const auto frame = net::read_frame(client.get());
                 if (frame.type == net::kMsgOpenSession) {
                     const auto open =
                         net::decode_open_session(frame.payload);
+                    width = open.model.num_spins() - open.config.num_freeze;
+                    shots = static_cast<std::uint64_t>(open.shots);
                     net::write_frame(
                         client.get(), net::kMsgSessionReady,
                         net::encode_session_ready({open.session_id, 1}));
@@ -545,6 +614,20 @@ struct MockWorker
                     break;
                 case Mode::WrongWidth:
                     reply.width = 1; // plan says wider
+                    break;
+                case Mode::StateOutOfRange:
+                    reply.width = width;
+                    reply.histogram = {{0, shots - 1},
+                                       {std::uint64_t{1} << width, 1}};
+                    break;
+                case Mode::WrongShotTotal:
+                    reply.width = width;
+                    reply.histogram = {{0, shots - 1}};
+                    break;
+                case Mode::UnsortedStates:
+                    reply.width = width;
+                    reply.histogram = {{1, shots / 2},
+                                       {0, shots - shots / 2}};
                     break;
                 }
                 net::write_frame(client.get(), net::kMsgLeafCounts,
@@ -601,7 +684,10 @@ INSTANTIATE_TEST_SUITE_P(FailureInjection, RemoteWorkerFaults,
                          ::testing::Values(
                              MockWorker::Mode::CorruptFrame,
                              MockWorker::Mode::WrongLeafId,
-                             MockWorker::Mode::WrongWidth));
+                             MockWorker::Mode::WrongWidth,
+                             MockWorker::Mode::StateOutOfRange,
+                             MockWorker::Mode::WrongShotTotal,
+                             MockWorker::Mode::UnsortedStates));
 
 std::string
 worker_address()

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -203,6 +204,22 @@ TEST(NetWire, RejectsTruncatedPayload)
     auto payload = net::encode_leaf_failed({3, 1, "boom"});
     payload.resize(payload.size() - 2);
     EXPECT_THROW(net::decode_leaf_failed(payload), net::NetError);
+}
+
+TEST(NetWire, InvalidModelTermIsNetError)
+{
+    // A term naming one spin twice passes every length check; the decoder
+    // must refuse it as a wire defect (a plain fq::Error from the model
+    // would escape a worker's connection handler).
+    net::OpenSession msg;
+    msg.model = test::ba_model(6, 2, 3);
+    auto payload = net::encode_open_session(msg);
+    const int n = msg.model.num_spins();
+    // version, session id, spin count, linear terms, term count: then i, j.
+    const std::size_t first_i =
+        4 + 8 + 4 + 8 * static_cast<std::size_t>(n) + 8;
+    std::copy_n(payload.begin() + first_i, 4, payload.begin() + first_i + 4);
+    EXPECT_THROW(net::decode_open_session(payload), net::NetError);
 }
 
 // ---------------------------------------------------- distributed parity

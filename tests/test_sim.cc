@@ -336,6 +336,34 @@ TEST(Counts, ReadoutErrorsFlipBits)
     EXPECT_NEAR(flipped / 2000.0, 0.5, 0.05);
 }
 
+TEST(Counts, RebuildAdmitsOnlyWellFormedHistograms)
+{
+    const std::uint64_t max = ~std::uint64_t{0};
+    sim::Counts out;
+    EXPECT_EQ(sim::rebuild_counts(3, 10, {{1, 4}, {6, 6}}, out), "");
+    EXPECT_EQ(out.num_qubits(), 3);
+    EXPECT_EQ(out.total_shots(), 10u);
+    EXPECT_EQ(out.histogram(), (std::map<std::uint64_t, std::uint64_t>{
+                                   {1, 4}, {6, 6}}));
+
+    // Each refusal leaves the previous contents untouched.
+    const sim::HistogramEntries refused[] = {
+        {{6, 6}, {1, 4}},      // descending
+        {{1, 4}, {1, 6}},      // duplicate state
+        {{1, 4}, {8, 6}},      // state >= 2^width
+        {{1, 10}, {6, 0}},     // zero count
+        {{1, 4}, {6, 5}},      // one shot short
+        {{1, max}, {6, 11}},   // a sum that would wrap to 10
+    };
+    for (const auto& entries : refused) {
+        EXPECT_NE(sim::rebuild_counts(3, 10, entries, out), "");
+        EXPECT_EQ(out.total_shots(), 10u);
+        EXPECT_EQ(out.num_distinct(), 2u);
+    }
+    EXPECT_NE(sim::rebuild_counts(0, 0, {}, out), "");
+    EXPECT_NE(sim::rebuild_counts(64, 0, {}, out), "");
+}
+
 TEST(NoiseModel, AttenuationBoundsAndMonotonicity)
 {
     const auto dev = device::make_device("ibm-montreal");
