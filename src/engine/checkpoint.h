@@ -132,10 +132,11 @@ struct SolveCheckpoint
     ising::SpinVector incumbent_assignment;
 };
 
-/** Sink for a durable ExecutionEngine solve: receives the snapshot at
- *  each checkpoint boundary; return false to suspend (wave_loop.h
- *  CheckpointHook semantics — the pre-suspension snapshot resumes the
- *  full solve elsewhere). */
+/** Sink for a durable request (ExecutionEngine::solve, or a
+ *  SolveService tenant through RequestPlan): receives the snapshot at
+ *  each checkpoint boundary; return false to suspend — the request then
+ *  completes as a degraded anytime result while the pre-suspension
+ *  snapshot resumes the full solve elsewhere (the migration primitive). */
 using CheckpointSink = std::function<bool(const SolveCheckpoint&)>;
 
 // ------------------------------------------------------ fingerprints --
@@ -163,8 +164,8 @@ std::uint64_t plan_fingerprint(const SolveTree& tree);
 
 /**
  * Capture a snapshot of @p request at a wave barrier (its dispatched
- * leaves must all have folded — the post_barrier_checkpoint call site
- * guarantees it). Throws fq::Error for a finished request: a completed
+ * leaves must all have folded — RequestPlan::post_barrier, its call
+ * site, guarantees it). Throws fq::Error for a finished request: a completed
  * solve has nothing to resume, so snapshotting it is caller confusion,
  * not a degenerate checkpoint.
  */

@@ -385,28 +385,32 @@ ExecutionEngine::solve_impl(const ising::IsingModel& model,
     // pure function of this request's fold count. Per-leaf scoring runs on
     // this engine's pool.
     RequestPlan plan(model, dev, config, shots, cache_, rng, seed,
-                     restore_from, /*durable=*/static_cast<bool>(sink),
-                     &executor_);
+                     restore_from, sink, &executor_);
 
     // Plan-time diagnostics publish BEFORE execution, so a solve that
     // throws mid-wave still leaves ITS OWN plan state in
     // last_diagnostics(), not a stale predecessor's.
     describe_plan(plan);
 
-    CheckpointHook hook;
-    if (sink)
-        hook = [&](WaveRequest&) { return sink(plan.capture()); };
-    // Execute through wave-synchronous epochs on the caller's thread; the
-    // streaming reducer folds each leaf's distribution as it lands. With
-    // re-ranking and checkpoints off this is one wave spanning the whole
-    // schedule. Dispatch goes through the seam: the local BatchExecutor by
-    // default, a net::WorkerPool when one is attached. finish_request must
-    // run even on a throw — a remote backend keys its sessions on the
-    // WaveRequest pointer, and this storage is stack-reused.
+    // Execute as the one-tenant case of the service's epoch step, on the
+    // caller's thread: each uncapped wave takes everything up to the next
+    // boundary (the whole schedule when re-ranking and checkpoints are
+    // off), through the executor seam. No `failed` hook: a leaf's throw
+    // propagates. finish_request must run even then — a remote backend
+    // keys its sessions on the stack-reused WaveRequest pointer.
     LeafExecutor& leaf_exec = leaf_executor();
+    const std::vector<WaveRequest*> tenants{&plan.wave};
+    WaveHooks hooks;
+    hooks.folded = &RequestPlan::on_folded;
     frozenqubits::SampledSolve solved;
     try {
-        run_wave_loop(leaf_exec, plan.wave, hook);
+        while (!plan.wave.done()) {
+            const auto wave =
+                assemble_wave(tenants, /*wave_size=*/0, /*rotate=*/0);
+            FQ_ASSERT(!wave.empty(), "wave loop stalled before a boundary");
+            leaf_exec.execute_wave(wave, hooks);
+            plan.post_barrier();
+        }
         solved = plan.reducer.finish();
     } catch (...) {
         leaf_exec.finish_request(&plan.wave);
@@ -416,8 +420,7 @@ ExecutionEngine::solve_impl(const ising::IsingModel& model,
     // Re-describe against the FINAL schedule: re-ranks and suspension may
     // have rewritten it since planning.
     describe_plan(plan);
-    plan.record_execution(diagnostics_, leaf_exec, plan.wave.dispatched,
-                          start);
+    plan.record_execution(diagnostics_, leaf_exec, start);
     return solved;
 }
 

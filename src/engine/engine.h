@@ -118,7 +118,9 @@ class ExecutionEngine
         int leaves_simd_backend = 0;
 
         // --------------------------------- wave-synchronous epochs only --
-        int epochs = 0;               ///< waves the solve rode (1 = flat batch)
+        /** Waves the schedule rode, a resumed snapshot's included
+         *  (SolveRecord::waves counts this run's); 1 = flat batch. */
+        int epochs = 0;
         /** Plan-time scheduled order (same index space as
          *  executed_subproblems), captured before any re-rank rewrote the
          *  tail — the plan side of a plan-vs-adaptive trace. Only filled

@@ -205,15 +205,11 @@ TreeBuild::resolve_private_templates(int ni)
     if (!config_.use_template_editing ||
         model.num_spins() > dev_.num_qubits())
         return ctx;
-    if (config_.parametric_templates) {
-        auto binding = cache_.get_or_bind(model, dev_, config_.compile,
-                                          default_build_options());
-        ctx.tpl = binding.family->structural;
-        ctx.family = binding.family;
-    } else {
-        ctx.tpl = cache_.get_or_compile(model, dev_, config_.compile,
-                                        default_build_options());
-    }
+    auto resolved =
+        cache_.resolve_template(model, dev_, config_.compile, ctx.build,
+                                config_.parametric_templates);
+    ctx.tpl = std::move(resolved.tpl);
+    ctx.family = std::move(resolved.family);
     ctx.tpl_compatible = true;
     return ctx;
 }

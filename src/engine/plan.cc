@@ -57,29 +57,17 @@ make_plan(const ising::IsingModel& model, const device::Device& dev,
 
     // Pre-resolve the shared template serially so parallel tasks never race
     // to compile: every sibling is edit-compatible with the first planned
-    // sub-problem (identical quadratic structure by construction).
-    //
-    // With parametric templates on (the default) this goes through the
-    // family tier: a warm-family plan costs a signature hash plus an O(E)
-    // labeled verification instead of a transpile, and the family skeleton
-    // rides along so leaf execution can bind coefficients instead of
-    // rebuilding circuits. The noise quantities served either way are
-    // identical — they are angle-independent, and the escape hatch
-    // (--no-param-templates) is bit-identical by test.
+    // sub-problem (identical quadratic structure by construction). On the
+    // family tier (the default) the skeleton rides along, so leaf
+    // execution binds coefficients instead of rebuilding circuits.
     if (config.use_template_editing && !plan.tasks.empty()) {
         const auto& owner = plan.subproblems[plan.tasks.front().solve];
-        if (config.parametric_templates) {
-            auto binding = cache.get_or_bind(owner.model, dev,
-                                             config.compile, plan.build);
-            plan.family = binding.family;
-            plan.family_tier = binding.tier;
-            plan.compiled_template = binding.family->structural;
-            plan.template_cache_hit = binding.tier != TemplateTier::Compile;
-        } else {
-            plan.compiled_template =
-                cache.get_or_compile(owner.model, dev, config.compile,
-                                     plan.build, &plan.template_cache_hit);
-        }
+        auto resolved =
+            cache.resolve_template(owner.model, dev, config.compile,
+                                   plan.build, config.parametric_templates);
+        plan.compiled_template = std::move(resolved.tpl);
+        plan.family = std::move(resolved.family);
+        plan.template_cache_hit = resolved.cache_hit;
     }
     return plan;
 }

@@ -74,8 +74,6 @@ struct ExecutionPlan
      * misses become coefficient patches instead of circuit builds.
      */
     std::shared_ptr<const ParametricTemplate> family;
-    /** How the family lookup was satisfied at plan time. */
-    TemplateTier family_tier = TemplateTier::Compile;
 
     /** Build options every per-task circuit construction must use. */
     qaoa::BuildOptions build;

@@ -6,12 +6,18 @@
  *
  * SolveRecord is the diagnostics both drivers report; RequestPlan fills
  * it from two places only: record_plan (final tree and schedule) and
- * record_execution (the LeafExecutor's per-request accounting).
+ * record_execution (the request's own fold accounting plus the
+ * LeafExecutor's). Both drivers run the same epoch step over their
+ * plans: engine::assemble_wave, LeafExecutor::execute_wave with
+ * RequestPlan::on_folded as the `folded` hook, then post_barrier() for
+ * each live request — the solo solve as the one-tenant case, on the
+ * caller's thread.
  */
 #ifndef FQ_ENGINE_REQUEST_PLAN_H
 #define FQ_ENGINE_REQUEST_PLAN_H
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -60,6 +66,32 @@ struct SolveRecord
     int resumed_from = -1;
     /** Leaves demoted by the deadline trim (plan time + re-ranks). */
     int deadline_trimmed = 0;
+    /** Completed early (deadline trim or checkpoint suspension): the
+     *  result is the anytime incumbent, not the full schedule. */
+    bool degraded = false;
+    /** Final schedule size: the plan-time budget cut, minus leaves an
+     *  adaptive re-rank pruned or demoted mid-run. */
+    int leaves_scheduled = 0;
+
+    // ----------------------------------------------------- execution --
+    /** Folded leaves, restored ones included (== scheduled on
+     *  success). */
+    int leaves_executed = 0;
+    int waves = 0; ///< waves this run rode (not a snapshot's)
+    /** Fused-program cache traffic of the leaves this run executed. */
+    std::uint64_t fused_lookups = 0;
+    std::uint64_t fused_hits = 0;
+    /** Split by plan-time leaf backend (scalar + simd == totals). */
+    std::uint64_t fused_lookups_scalar = 0;
+    std::uint64_t fused_hits_scalar = 0;
+    std::uint64_t fused_lookups_simd = 0;
+    std::uint64_t fused_hits_simd = 0;
+    /** fused_hits / fused_lookups (0 when the request never fused). */
+    double cache_hit_share = 0.0;
+    /** Fused programs materialized by patching a family skeleton instead
+     *  of rebuilding circuits (exec-time count; a subset of
+     *  fused_lookups - fused_hits). */
+    std::uint64_t family_binds = 0;
 
     // ----------------------------------------- distributed execution --
     /** Leaves folded from remote worker replies (0 without a
@@ -96,40 +128,60 @@ class RequestPlan
      * way). A fresh request (@p restore_from null) is then trimmed to its
      * deadline (DeadlineError when no leaf fits) and armed for re-ranking;
      * a resume restores @p restore_from instead (CheckpointError on any
-     * mismatch). @p durable arms checkpoint boundaries — only set it when
-     * a sink consumes the snapshots, since boundaries fragment waves.
+     * mismatch). A non-null @p sink makes the request durable: it arms
+     * checkpoint boundaries and post_barrier() hands it each snapshot
+     * (a false return suspends the request). Leave it null unless
+     * something consumes the snapshots, since boundaries fragment waves.
      */
     RequestPlan(const ising::IsingModel& model, const device::Device& dev,
                 const frozenqubits::DriverConfig& config, int shots,
                 TemplateCache& cache, Rng& rng, std::uint64_t seed,
-                const SolveCheckpoint* restore_from, bool durable,
+                const SolveCheckpoint* restore_from, CheckpointSink sink,
                 BatchExecutor* scoring = nullptr);
 
     RequestPlan(const RequestPlan&) = delete;
     RequestPlan& operator=(const RequestPlan&) = delete;
 
-    /** Snapshot the request at its current checkpoint boundary, counted
-     *  into SolveRecord::checkpoints. */
-    SolveCheckpoint capture();
+    /** The plan whose wave view @p request is (WaveRequest::context). */
+    static RequestPlan& of(const WaveRequest& request)
+    {
+        return *static_cast<RequestPlan*>(request.context);
+    }
+
+    /** WaveHooks::folded for any RequestPlan's slot, on the folding
+     *  thread: counts the fold and the leaf's fused-cache traffic. */
+    static void on_folded(const WaveSlot& slot, bool fused_hit,
+                          TemplateTier fuse_tier);
+
+    /** One epoch's post-barrier step, once every dispatched leaf folded:
+     *  re-rank at a due boundary (post_barrier_rerank), then hand the
+     *  sink a snapshot at a due checkpoint — suspending the request when
+     *  it returns false. */
+    void post_barrier();
+
+    /** Leaves folded so far, restored ones included. */
+    std::size_t folded() const
+    {
+        return static_cast<std::size_t>(
+            folded_.load(std::memory_order_acquire));
+    }
 
     /** Fill a default-constructed @p record's schedule and durability
      *  fields from the final tree and schedule (re-ranks and suspension
      *  rewrite it mid-run). */
     void record_plan(SolveRecord& record) const;
 
-    /**
-     * Fill @p record's execution fields from @p executor's accounting of
-     * this request, then release that state (finish_request). @p folded
-     * counts the leaves folded so far, restored ones included; wall_ms
-     * runs from @p start to now. Call once, after the request's last
-     * wave.
-     */
+    /** Fill @p record's execution fields from this request's fold
+     *  accounting and @p executor's, then release the executor's state
+     *  (finish_request); wall_ms runs from @p start. Call once, after
+     *  the request's last wave. */
     void record_execution(SolveRecord& record, LeafExecutor& executor,
-                          std::size_t folded, Clock::time_point start);
+                          Clock::time_point start);
 
     SolveTree tree;
     LeafSchedule schedule;
     StreamingReducer reducer;
+    /** The wave-loop view; its context points back at this plan. */
     WaveRequest wave;
     /** Schedule order before any re-rank rewrote its tail (leaf ids);
      *  kept only when re-ranking is on. */
@@ -138,9 +190,17 @@ class RequestPlan
     int resumed_from = -1;
     /** Waves the restored snapshot had already ridden (0 when fresh). */
     int restored_epochs = 0;
+    /** The SolveService's Request; null for a solo solve. */
+    void* owner = nullptr;
 
   private:
+    CheckpointSink sink_;
     int checkpoints_ = 0;
+    /** Written by on_folded; fused counters indexed [scalar, simd]. */
+    std::atomic<int> folded_{0};
+    std::array<std::atomic<std::uint64_t>, 2> fused_lookups_{};
+    std::array<std::atomic<std::uint64_t>, 2> fused_hits_{};
+    std::atomic<std::uint64_t> family_binds_{0};
 };
 
 } // namespace fq::engine

@@ -58,6 +58,25 @@ SolveService::SolveService(ExecutionEngine& engine, Config config)
                      : std::max(8, 2 * engine.num_threads())),
       max_queue_depth_(config.max_queue_depth)
 {
+    hooks_.admit = [](const WaveSlot& slot) {
+        Request& r = request_of(*slot.request);
+        if (r.failed.load(std::memory_order_acquire))
+            return false;
+        if (!r.started.exchange(true, std::memory_order_acq_rel)) {
+            std::lock_guard<std::mutex> g(r.error_mutex);
+            r.first_exec = Clock::now();
+        }
+        return true;
+    };
+    hooks_.folded = &RequestPlan::on_folded;
+    hooks_.failed = [](const WaveSlot& slot, std::exception_ptr error) {
+        Request& r = request_of(*slot.request);
+        std::lock_guard<std::mutex> g(r.error_mutex);
+        if (!r.failed.load(std::memory_order_relaxed)) {
+            r.error = std::move(error);
+            r.failed.store(true, std::memory_order_release);
+        }
+    };
     assembler_ = std::thread([this] { assembler_loop(); });
 }
 
@@ -145,6 +164,21 @@ SolveService::submit_request(const ising::IsingModel& model,
     request->on_complete = std::move(on_complete);
     request->on_checkpoint = std::move(on_checkpoint);
 
+    // A durable request's sink runs on the assembler thread and contains
+    // callback throws — the header contract says they must not, so a
+    // violation is treated as "continue", mirroring CompletionCallback. A
+    // false return suspends the request; the completion scan then
+    // finishes it as a degraded anytime result.
+    CheckpointSink sink;
+    if (request->on_checkpoint)
+        sink = [r = request.get()](const SolveCheckpoint& snapshot) {
+            try {
+                return r->on_checkpoint(r->id, snapshot);
+            } catch (...) {
+                return true;
+            }
+        };
+
     // Plan on the CALLING thread — the same step as a solo
     // ExecutionEngine::solve, so the schedule (and therefore every leaf's
     // plan-derived RNG stream) is bit-identical to a standalone run.
@@ -158,18 +192,14 @@ SolveService::submit_request(const ising::IsingModel& model,
     try {
         request->plan.emplace(request->model, request->dev, request->config,
                               shots, engine_.cache_, rng, seed, restore_from,
-                              /*durable=*/
-                              static_cast<bool>(request->on_checkpoint));
+                              std::move(sink));
     } catch (const DeadlineError&) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.requests_rejected_deadline;
         throw;
     }
-    WaveRequest& wave = request->plan->wave;
-    wave.context = request.get();
-    request->leaves_folded.store(static_cast<int>(wave.dispatched),
-                                 std::memory_order_relaxed);
-    request->pending_cost.store(remaining_cost(wave),
+    request->plan->owner = request.get();
+    request->pending_cost.store(remaining_cost(request->plan->wave),
                                 std::memory_order_relaxed);
 
     request->submitted = Clock::now();
@@ -196,95 +226,15 @@ SolveService::submit_request(const ising::IsingModel& model,
     return ticket;
 }
 
-std::vector<WaveSlot>
-SolveService::assemble_wave_locked()
+std::vector<SolveService::Request*>
+SolveService::live_locked() const
 {
-    std::vector<WaveSlot> wave;
-    if (active_.empty())
-        return wave;
-
-    // Live tenants only: a failed request's remaining leaves are dead
-    // weight the wave should not even assemble.
-    std::vector<WaveRequest*> tenants;
-    tenants.reserve(active_.size());
-    for (auto& request : active_)
+    std::vector<Request*> live;
+    live.reserve(active_.size());
+    for (const auto& request : active_)
         if (!request->failed.load(std::memory_order_acquire))
-            tenants.push_back(&request->plan->wave);
-    if (tenants.empty())
-        return wave;
-
-    // The shared wave-loop packing: fair round-robin with rotating start,
-    // cost-weighted slots, wave_share self-caps and re-rank boundary caps.
-    std::vector<int> taken;
-    wave = engine::assemble_wave(tenants, wave_size_, rotate_++, &taken);
-
-    // Per-tenant wave bookkeeping (assembler-thread state).
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-        if (taken[t] == 0)
-            continue;
-        Request& request = *static_cast<Request*>(tenants[t]->context);
-        request.occupancy_sum += static_cast<double>(taken[t]) /
-                                 static_cast<double>(wave.size());
-        // The dispatch cursor just advanced; keep the deadline backlog
-        // projection submit() reads in step with it.
-        request.pending_cost.store(remaining_cost(*tenants[t]),
-                                   std::memory_order_release);
-    }
-    return wave;
-}
-
-int
-SolveService::run_wave(const std::vector<WaveSlot>& wave)
-{
-    // The shared wave execution with the service's per-tenant hooks:
-    // failure isolation (first failure wins, poisons only that request)
-    // and diagnostics (first-execution timestamp, fused-cache traffic,
-    // fold counting).
-    WaveHooks hooks;
-    hooks.admit = [](const WaveSlot& slot) {
-        Request& r = *static_cast<Request*>(slot.request->context);
-        if (r.failed.load(std::memory_order_acquire))
-            return false;
-        if (!r.started.exchange(true, std::memory_order_acq_rel)) {
-            std::lock_guard<std::mutex> g(r.error_mutex);
-            r.first_exec = Clock::now();
-        }
-        return true;
-    };
-    hooks.folded = [](const WaveSlot& slot, bool fused_hit,
-                      TemplateTier fuse_tier) {
-        Request& r = *static_cast<Request*>(slot.request->context);
-        const auto& leaf =
-            r.plan->tree.leaves[static_cast<std::size_t>(slot.leaf_id)];
-        if (leaf.fuse) {
-            r.fused_lookups.fetch_add(1, std::memory_order_relaxed);
-            if (fused_hit)
-                r.fused_hits.fetch_add(1, std::memory_order_relaxed);
-            if (fuse_tier == TemplateTier::Bind)
-                r.family_binds.fetch_add(1, std::memory_order_relaxed);
-            // Attribute the traffic to the leaf's plan-time backend tag.
-            const bool simd =
-                leaf.backend == sim::BackendKind::VectorizedFused;
-            auto& lookups =
-                simd ? r.fused_lookups_simd : r.fused_lookups_scalar;
-            auto& hits = simd ? r.fused_hits_simd : r.fused_hits_scalar;
-            lookups.fetch_add(1, std::memory_order_relaxed);
-            if (fused_hit)
-                hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        r.leaves_folded.fetch_add(1, std::memory_order_acq_rel);
-    };
-    hooks.failed = [](const WaveSlot& slot, std::exception_ptr error) {
-        Request& r = *static_cast<Request*>(slot.request->context);
-        std::lock_guard<std::mutex> g(r.error_mutex);
-        if (!r.failed.load(std::memory_order_relaxed)) {
-            r.error = std::move(error);
-            r.failed.store(true, std::memory_order_release);
-        }
-    };
-    // Dispatch through the engine's executor seam: the local
-    // BatchExecutor by default, a net::WorkerPool when one is attached.
-    return engine_.leaf_executor().execute_wave(wave, hooks);
+            live.push_back(request.get());
+    return live;
 }
 
 SolveService::Outcome
@@ -306,34 +256,14 @@ SolveService::reduce_request(Request& request)
         }
     }
 
-    const int folded = request.leaves_folded.load();
     plan.record_plan(out.diag);
     plan.record_execution(out.diag, engine_.leaf_executor(),
-                          static_cast<std::size_t>(folded),
                           request.submitted);
     out.diag.request_id = request.id;
-    out.diag.leaves_scheduled =
-        static_cast<int>(plan.schedule.executed.size());
-    out.diag.leaves_executed = folded;
-    out.diag.waves = plan.wave.epochs - plan.restored_epochs;
-    out.diag.fused_lookups = request.fused_lookups.load();
-    out.diag.fused_hits = request.fused_hits.load();
-    out.diag.fused_lookups_scalar = request.fused_lookups_scalar.load();
-    out.diag.fused_hits_scalar = request.fused_hits_scalar.load();
-    out.diag.fused_lookups_simd = request.fused_lookups_simd.load();
-    out.diag.fused_hits_simd = request.fused_hits_simd.load();
-    out.diag.family_binds = request.family_binds.load();
-    out.diag.cache_hit_share =
-        out.diag.fused_lookups == 0
-            ? 0.0
-            : static_cast<double>(out.diag.fused_hits) /
-                  static_cast<double>(out.diag.fused_lookups);
     out.diag.wave_occupancy =
         out.diag.waves == 0
             ? 0.0
             : request.occupancy_sum / static_cast<double>(out.diag.waves);
-    out.diag.degraded =
-        plan.schedule.deadline_trimmed > 0 || plan.schedule.suspended;
     if (request.started.load(std::memory_order_acquire))
         out.diag.queue_latency_ms =
             std::chrono::duration<double, std::milli>(request.first_exec -
@@ -374,53 +304,53 @@ SolveService::assembler_loop()
             continue;
         }
 
-        const auto wave = assemble_wave_locked();
+        // One epoch over the live tenants — the step a solo solve runs
+        // with a single tenant: assemble the shared wave under the lock
+        // (fair round-robin, wave_share self-caps, cost weighting,
+        // boundary caps), execute it without, then each live request's
+        // post-barrier step.
+        std::vector<Request*> live = live_locked();
+        std::vector<WaveRequest*> tenants;
+        for (Request* request : live)
+            tenants.push_back(&request->plan->wave);
+        std::vector<int> taken;
+        std::vector<WaveSlot> wave;
+        if (!tenants.empty())
+            wave = assemble_wave(tenants, wave_size_, rotate_++, &taken);
+        for (std::size_t t = 0; t < taken.size(); ++t) {
+            if (taken[t] == 0)
+                continue;
+            live[t]->occupancy_sum += static_cast<double>(taken[t]) /
+                                      static_cast<double>(wave.size());
+            // The dispatch cursor just advanced; keep the deadline backlog
+            // projection submit() reads in step with it.
+            live[t]->pending_cost.store(remaining_cost(*tenants[t]),
+                                        std::memory_order_release);
+        }
         lock.unlock();
         int executed = 0;
+        // Through the engine's executor seam: the local BatchExecutor by
+        // default, a net::WorkerPool when one is attached.
         if (!wave.empty())
-            executed = run_wave(wave);
+            executed = engine_.leaf_executor().execute_wave(wave, hooks_);
         lock.lock();
         if (!wave.empty()) {
             ++stats_.waves_executed;
             stats_.wave_slots += static_cast<std::uint64_t>(executed);
         }
 
-        // Post-barrier scan, part 1 — adaptive re-ranking: after the wave
-        // barrier every dispatched leaf has folded, so a live request
-        // sitting exactly on its next rerank_interval boundary re-ranks
-        // its un-dispatched tail against its own epoch snapshot. The
-        // re-score is CPU-heavy (per-leaf original-model evaluations), so
-        // it runs WITHOUT the service lock: it touches only per-request
-        // state the assembler alone mutates, requests are heap-pinned in
-        // active_ until this same iteration's completion scan, and no
-        // leaves are in flight. A failed request never re-ranks (its
-        // outcomes may be incomplete and it is being torn down).
-        std::vector<Request*> live;
-        live.reserve(active_.size());
-        for (auto& request : active_)
-            if (!request->failed.load(std::memory_order_acquire))
-                live.push_back(request.get());
+        // Post-barrier scan, part 1 — after the wave barrier every
+        // dispatched leaf has folded, so each request still live runs its
+        // post-barrier step: a re-rank at a due boundary, a snapshot at a
+        // due checkpoint. The re-score is CPU-heavy and the snapshot
+        // copies every folded histogram, so both run WITHOUT the service
+        // lock: they touch only per-request state the assembler alone
+        // mutates, requests are heap-pinned in active_ until this same
+        // iteration's completion scan, and no leaves are in flight.
+        live = live_locked();
         lock.unlock();
         for (Request* request : live) {
-            post_barrier_rerank(request->plan->wave);
-            // Durable requests: snapshot at an armed checkpoint boundary.
-            // The wrapper captures OUTSIDE the service lock (the snapshot
-            // copies every folded histogram) and contains callback throws
-            // — the header contract says they must not, so a violation is
-            // treated as "continue", mirroring CompletionCallback. A
-            // false return suspends the request (suspend_request inside
-            // post_barrier_checkpoint); the completion scan below then
-            // finishes it as a degraded anytime result.
-            post_barrier_checkpoint(
-                request->plan->wave, [request](WaveRequest&) {
-                    const auto snapshot = request->plan->capture();
-                    try {
-                        return request->on_checkpoint(request->id,
-                                                      snapshot);
-                    } catch (...) {
-                        return true;
-                    }
-                });
+            request->plan->post_barrier();
             // Re-ranks and suspensions rewrite the schedule tail; refresh
             // the deadline backlog projection to match.
             request->pending_cost.store(remaining_cost(request->plan->wave),
@@ -433,10 +363,9 @@ SolveService::assembler_loop()
         std::vector<std::unique_ptr<Request>> finished;
         for (auto it = active_.begin(); it != active_.end();) {
             Request& r = **it;
-            const bool done =
-                r.failed.load(std::memory_order_acquire) ||
-                r.leaves_folded.load(std::memory_order_acquire) ==
-                    static_cast<int>(r.plan->schedule.executed.size());
+            const bool done = r.failed.load(std::memory_order_acquire) ||
+                              r.plan->folded() ==
+                                  r.plan->schedule.executed.size();
             if (done) {
                 finished.push_back(std::move(*it));
                 it = active_.erase(it);

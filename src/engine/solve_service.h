@@ -10,25 +10,14 @@
  * concurrent submit() calls, plans each request on the submitter's thread
  * through the same RequestPlan step as a solo solve (request_plan.h —
  * cache-served planning runs concurrently across tenants), and an
- * assembler thread coalesces the
- * per-request leaf schedules into shared executor WAVES:
- *
- *   wave assembly — the shared wave-loop packing (wave_loop.h): fair
- *       round-robin across active tenants in submission order (rotating
- *       start), one leaf per tenant per pass, cost-weighted slots (a leaf
- *       charges 2^width units so one wide tenant cannot stall a wave's
- *       tail), honoring each request's budget-cut schedule, its optional
- *       DriverConfig::wave_share per-wave cap and its re-rank boundary;
- *   wave execution — one LeafExecutor::execute_wave over the mixed
- *       wave, through the engine's executor seam (its local pool or an
- *       attached net::WorkerPool); each leaf simulates through the same
- *       simulate_scheduled_leaf path as a solo solve and folds into ITS
- *       OWN request's StreamingReducer;
- *   post-barrier scan — requests whose fold count reached their next
- *       rerank_interval boundary re-rank their un-dispatched leaves
- *       against their own reducer's epoch snapshot; requests whose
- *       scheduled leaves have all folded finish their reduction and
- *       fulfil their future / completion callback.
+ * assembler thread runs the epoch step of wave_loop.h over every live
+ * tenant: one shared, cost-weighted, round-robin wave (honoring each
+ * request's DriverConfig::wave_share cap and its boundaries), one
+ * LeafExecutor::execute_wave through the engine's executor seam, where
+ * each leaf folds into ITS OWN request's StreamingReducer, then each
+ * request's RequestPlan::post_barrier — the step a solo solve runs after
+ * each of its own waves. Requests whose scheduled leaves have all folded
+ * finish their reduction and fulfil their future / completion callback.
  *
  * Determinism contract: per-request results are bit-identical to a solo
  * ExecutionEngine::solve at any thread count, regardless of how tenants
@@ -120,37 +109,15 @@ class SolveService
 
     /**
      * Per-request observability, available once the request completed.
-     * The SolveRecord base holds what a solo solve reports too; for the
+     * The SolveRecord base is the record a solo solve reports too, filled
+     * by the same RequestPlan::record_plan / record_execution: for the
      * same request its fields match ExecutionEngine::last_diagnostics()
-     * (wall_ms aside).
+     * (wall_ms aside, whose clocks start at submit() return and solve
+     * entry). Only what needs a queue is added here.
      */
     struct TenantDiagnostics : SolveRecord
     {
         std::uint64_t request_id = 0;
-        /** Final schedule size: the plan-time budget cut, minus leaves an
-         *  adaptive re-rank pruned or demoted mid-run. */
-        int leaves_scheduled = 0;
-        /** Folded leaves, restored ones included (== scheduled on
-         *  success). */
-        int leaves_executed = 0;
-        /** Waves this request contributed to (a resume counts only its
-         *  own). */
-        int waves = 0;
-        /** Fused-program cache traffic attributed to this tenant. */
-        std::uint64_t fused_lookups = 0;
-        std::uint64_t fused_hits = 0;
-        /** Per-backend split of the fused-cache traffic (plan-time leaf
-         *  backend tags; scalar + simd == the totals above). */
-        std::uint64_t fused_lookups_scalar = 0;
-        std::uint64_t fused_hits_scalar = 0;
-        std::uint64_t fused_lookups_simd = 0;
-        std::uint64_t fused_hits_simd = 0;
-        /** fused_hits / fused_lookups (0 when the request never fused). */
-        double cache_hit_share = 0.0;
-        /** Fused programs this tenant materialized by patching a family
-         *  skeleton instead of rebuilding circuits (exec-time count; a
-         *  subset of fused_lookups - fused_hits). */
-        std::uint64_t family_binds = 0;
         /**
          * Mean share of the wave slots this tenant held across the waves it
          * rode (1.0 = had every wave to itself; 1/K under K equal tenants)
@@ -159,9 +126,6 @@ class SolveService
         double wave_occupancy = 0.0;
         /** submit() return -> first leaf simulation start. */
         double queue_latency_ms = 0.0;
-        /** Completed early (deadline trim or checkpoint suspension): the
-         *  result is the anytime incumbent, not the full schedule. */
-        bool degraded = false;
     };
 
     /** Service-wide counters (snapshot; monotone while the service lives). */
@@ -305,9 +269,10 @@ class SolveService
         device::Device dev;
         frozenqubits::DriverConfig config;
 
-        /** Tree, schedule, reducer and the wave-loop view the assembler
-         *  drives (plan->wave.context points back here). Planned once
-         *  model/dev/config reached their final heap location. */
+        /** Tree, schedule, reducer, fold accounting and the wave-loop
+         *  view the assembler drives (plan->owner points back here).
+         *  Planned once model/dev/config reached their final heap
+         *  location. */
         std::optional<RequestPlan> plan;
 
         std::promise<frozenqubits::SampledSolve> promise;
@@ -330,17 +295,6 @@ class SolveService
         Clock::time_point submitted;
         std::atomic<bool> started{false};
         Clock::time_point first_exec; ///< guarded by error_mutex
-        std::atomic<std::uint64_t> fused_lookups{0};
-        std::atomic<std::uint64_t> fused_hits{0};
-        /** Per-backend split (see TenantDiagnostics). */
-        std::atomic<std::uint64_t> fused_lookups_scalar{0};
-        std::atomic<std::uint64_t> fused_hits_scalar{0};
-        std::atomic<std::uint64_t> fused_lookups_simd{0};
-        std::atomic<std::uint64_t> fused_hits_simd{0};
-        /** Exec-time family-skeleton binds (TemplateTier::Bind folds). */
-        std::atomic<std::uint64_t> family_binds{0};
-        /** Folded leaves, restored ones included. */
-        std::atomic<int> leaves_folded{0};
         double occupancy_sum = 0.0;  ///< assembler-thread only
     };
 
@@ -372,14 +326,16 @@ class SolveService
                           CompletionCallback on_complete,
                           CheckpointCallback on_checkpoint);
     void assembler_loop();
-    /** Drive the shared wave-loop assembly over the live tenants (fair
-     *  round-robin + wave_share + cost weighting + re-rank boundary caps)
-     *  and keep the per-tenant wave bookkeeping. */
-    std::vector<WaveSlot> assemble_wave_locked();
-    /** Returns how many wave slots actually simulated (a failed tenant's
-     *  remaining slots are skipped dead weight). */
-    int run_wave(const std::vector<WaveSlot>& wave);
-    /** Final reduction + diagnostics; never throws (failures land in
+    /** Requests not failed so far (a failed one's leaves are dead weight
+     *  and it never re-ranks). Call with mutex_ held. */
+    std::vector<Request*> live_locked() const;
+    /** The service's own state behind a request's wave view. */
+    static Request& request_of(const WaveRequest& wave)
+    {
+        return *static_cast<Request*>(RequestPlan::of(wave).owner);
+    }
+    /** Final reduction + diagnostics (the plan's record plus the
+     *  queue-side fields); never throws (failures land in
      *  Outcome::error). Runs on the assembler thread without the lock. */
     Outcome reduce_request(Request& request);
     /** Fulfil the promise / completion callback. Runs without the lock,
@@ -387,6 +343,10 @@ class SolveService
     void deliver(Request& request, Outcome& outcome);
 
     ExecutionEngine& engine_;
+    /** The plan's fold accounting plus per-tenant failure isolation
+     *  (first failure wins, poisons only that request) and the
+     *  first-execution timestamp. */
+    WaveHooks hooks_;
     int wave_size_;
     int max_queue_depth_; ///< 0 = unlimited
 

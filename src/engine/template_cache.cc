@@ -73,6 +73,23 @@ same_build(const qaoa::BuildOptions& a, const qaoa::BuildOptions& b)
            a.keep_zero_linear_rz == b.keep_zero_linear_rz;
 }
 
+/** Transpile @p logical and derive the angle-independent noise quantities
+ *  every compiled template carries (both template tiers build this way). */
+std::shared_ptr<CompiledTemplate>
+compile_template(const circuit::Circuit& logical, const device::Device& dev,
+                 const transpiler::CompileOptions& compile, int num_spins)
+{
+    auto entry = std::make_shared<CompiledTemplate>();
+    entry->compiled = transpiler::compile(logical, dev, compile);
+    entry->attenuation =
+        sim::compute_attenuation(entry->compiled.physical, dev.calibration);
+    entry->eps = sim::expected_probability_of_success(
+        entry->compiled.physical, dev.calibration);
+    entry->readout_flip =
+        readout_flip_for(entry->compiled, dev.calibration, num_spins);
+    return entry;
+}
+
 } // namespace
 
 std::vector<double>
@@ -345,15 +362,9 @@ TemplateCache::get_or_compile(const ising::IsingModel& model,
     // slowest miss. A rare duplicate build of the same key loses the race
     // below and is dropped; first insert wins so all callers share one
     // entry.
-    const auto logical = qaoa::build_qaoa_circuit(model, build);
-    auto entry = std::make_shared<CompiledTemplate>();
-    entry->compiled = transpiler::compile(logical, dev, compile);
-    entry->attenuation =
-        sim::compute_attenuation(entry->compiled.physical, dev.calibration);
-    entry->eps = sim::expected_probability_of_success(
-        entry->compiled.physical, dev.calibration);
-    entry->readout_flip = readout_flip_for(entry->compiled, dev.calibration,
-                                           model.num_spins());
+    const auto entry =
+        compile_template(qaoa::build_qaoa_circuit(model, build), dev,
+                         compile, model.num_spins());
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.compiles;
@@ -539,15 +550,8 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
     family->build = build;
 
     const auto logical = qaoa::build_qaoa_circuit(model, build);
-    auto structural = std::make_shared<CompiledTemplate>();
-    structural->compiled = transpiler::compile(logical, dev, structural_opts);
-    structural->attenuation = sim::compute_attenuation(
-        structural->compiled.physical, dev.calibration);
-    structural->eps = sim::expected_probability_of_success(
-        structural->compiled.physical, dev.calibration);
-    structural->readout_flip = readout_flip_for(
-        structural->compiled, dev.calibration, model.num_spins());
-    family->structural = structural;
+    family->structural = compile_template(logical, dev, structural_opts,
+                                          model.num_spins());
 
     auto skeleton = circuit::parametrize_fused(
         circuit::fuse_diagonals(logical), model.num_spins(),
@@ -583,6 +587,25 @@ TemplateCache::get_or_bind(const ising::IsingModel& model,
             {labeled, verify, family_entry_bytes, family});
     }
     return {family, TemplateTier::Compile};
+}
+
+TemplateCache::ResolvedTemplate
+TemplateCache::resolve_template(const ising::IsingModel& model,
+                                const device::Device& dev,
+                                const transpiler::CompileOptions& compile,
+                                const qaoa::BuildOptions& build,
+                                bool parametric)
+{
+    ResolvedTemplate out;
+    if (parametric) {
+        const auto binding = get_or_bind(model, dev, compile, build);
+        out.tpl = binding.family->structural;
+        out.family = binding.family;
+        out.cache_hit = binding.tier != TemplateTier::Compile;
+    } else {
+        out.tpl = get_or_compile(model, dev, compile, build, &out.cache_hit);
+    }
+    return out;
 }
 
 bool

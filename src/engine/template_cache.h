@@ -262,6 +262,24 @@ class TemplateCache
                               const transpiler::CompileOptions& compile,
                               const qaoa::BuildOptions& build);
 
+    /** resolve_template result; family is null on the legacy tier. */
+    struct ResolvedTemplate
+    {
+        std::shared_ptr<const CompiledTemplate> tpl;
+        std::shared_ptr<const ParametricTemplate> family;
+        bool cache_hit = false; ///< this call paid no compile
+    };
+
+    /** The planners' ONE template-resolution step: the family tier
+     *  (get_or_bind) when @p parametric, else the legacy structure-keyed
+     *  tier (get_or_compile). Both serve identical noise quantities. */
+    ResolvedTemplate resolve_template(const ising::IsingModel& model,
+                                      const device::Device& dev,
+                                      const transpiler::CompileOptions&
+                                          compile,
+                                      const qaoa::BuildOptions& build,
+                                      bool parametric);
+
     /**
      * True when @p model's exact fused program is resident (a subsequent
      * get_or_fuse would hit). Read-only peek for plan-time leaf-tier

@@ -34,6 +34,7 @@ assemble_wave(const std::vector<WaveRequest*>& tenants, int wave_size,
     if (tenants.empty())
         return wave;
     const std::size_t n = tenants.size();
+    const bool capped = wave_size > 0; // uncapped = the solo epoch
 
     // Cost budget: wave_size slots priced at the cheapest pending leaf, so
     // equal-width tenants pack exactly wave_size leaves per wave and wider
@@ -74,10 +75,10 @@ assemble_wave(const std::vector<WaveRequest*>& tenants, int wave_size,
             // Per-request wave-share SELF-cap: a bulk tenant bounds how
             // many of its OWN leaves ride one wave, leaving the rest of
             // the capacity to co-tenants.
-            if (r.config->wave_share > 0 &&
+            if (capped && r.config->wave_share > 0 &&
                 taken[slot] >= r.config->wave_share)
                 continue;
-            if (!wave.empty() &&
+            if (capped && !wave.empty() &&
                 (static_cast<int>(wave.size()) >= wave_size ||
                  spent >= budget))
                 continue; // slot cap / cost budget (first leaf exempt)
@@ -156,58 +157,6 @@ post_barrier_rerank(WaveRequest& request)
     request.next_rerank +=
         static_cast<std::size_t>(request.config->rerank_interval);
     return out;
-}
-
-void
-suspend_request(WaveRequest& request)
-{
-    auto& schedule = *request.schedule;
-    FQ_ASSERT(request.dispatched <= schedule.executed.size(),
-              "suspend with cursor past the schedule");
-    for (std::size_t k = request.dispatched; k < schedule.executed.size();
-         ++k)
-        schedule.beyond_budget.push_back(schedule.executed[k]);
-    schedule.executed.resize(request.dispatched);
-    schedule.suspended = true;
-}
-
-bool
-post_barrier_checkpoint(WaveRequest& request, const CheckpointHook& hook)
-{
-    if (request.next_checkpoint == 0 ||
-        request.dispatched != request.next_checkpoint || request.done())
-        return true;
-    bool keep_going = true;
-    if (hook)
-        keep_going = hook(request);
-    request.next_checkpoint +=
-        static_cast<std::size_t>(request.config->checkpoint_interval);
-    if (!keep_going)
-        suspend_request(request);
-    return keep_going;
-}
-
-void
-run_wave_loop(LeafExecutor& executor, WaveRequest& request,
-              const CheckpointHook& checkpoint)
-{
-    while (!request.done()) {
-        // One epoch: everything up to the next boundary (re-rank or
-        // checkpoint) rides one wave — the whole schedule when both are
-        // off: the pre-epoch single batch.
-        const std::size_t limit = request.dispatch_limit();
-        FQ_ASSERT(request.dispatched < limit,
-                  "wave loop stalled before a boundary");
-        std::vector<WaveSlot> wave;
-        wave.reserve(limit - request.dispatched);
-        for (; request.dispatched < limit; ++request.dispatched)
-            wave.push_back({&request,
-                            request.schedule->executed[request.dispatched]});
-        ++request.epochs;
-        executor.execute_wave(wave);
-        post_barrier_rerank(request);
-        post_barrier_checkpoint(request, checkpoint);
-    }
 }
 
 } // namespace fq::engine

@@ -1,20 +1,23 @@
 /**
  * @file
  * Wave-synchronous execution epochs: the ONE schedule→dispatch→fold→barrier
- * cycle, shared by the solo ExecutionEngine::solve and the multi-tenant
- * SolveService. Both plan their requests through RequestPlan
- * (request_plan.h), which arms the boundaries below; this file only runs
- * them.
+ * cycle. Requests are planned through RequestPlan (request_plan.h), which
+ * arms the boundaries below; this file holds the epoch primitives both
+ * drivers run. The multi-tenant SolveService runs them on its assembler
+ * thread over every live tenant; a solo ExecutionEngine::solve runs the
+ * same step on the caller's thread with a one-element tenant list and no
+ * wave cap.
  *
  * An epoch is one wave: dispatch a slice of each participating request's
- * ranked leaf schedule onto the executor, run it to the fork-join barrier,
- * fold every result into its request's StreamingReducer — then run the
- * post-barrier scan, where adaptive budget re-ranking lives. After each
- * wave, a request whose fold count reached its next re-rank boundary
- * (multiples of DriverConfig::rerank_interval) re-scores its
- * not-yet-dispatched leaves against the reducer's epoch snapshot, prunes
- * stale dominated leaves and re-cuts the remaining budget
- * (scheduler.h: rerank_schedule).
+ * ranked leaf schedule onto the executor (assemble_wave), run it to the
+ * fork-join barrier, fold every result into its request's
+ * StreamingReducer (LeafExecutor::execute_wave) — then run each request's
+ * post-barrier step (RequestPlan::post_barrier), where adaptive budget
+ * re-ranking and checkpoints live. After each wave, a request whose fold
+ * count reached its next re-rank boundary (multiples of
+ * DriverConfig::rerank_interval) re-scores its not-yet-dispatched leaves
+ * against the reducer's epoch snapshot, prunes stale dominated leaves and
+ * re-cuts the remaining budget (scheduler.h: rerank_schedule).
  *
  * Determinism contract: a re-rank at boundary b sees the incumbent over
  * exactly the first b scheduled leaves (StreamingReducer::epoch_snapshot),
@@ -23,15 +26,15 @@
  * function of the request's own fold count — never of wave composition,
  * co-tenant interleaving or thread count — and a request's results are
  * bit-identical between a solo solve and any service schedule. With
- * rerank_interval = 0 the solo loop degenerates to one wave spanning the
- * whole schedule: exactly the pre-epoch engine, bit for bit.
+ * rerank_interval = 0 and no checkpoints a solo solve is one wave spanning
+ * the whole schedule: exactly the pre-epoch engine, bit for bit.
  *
  * Wave packing is cost-weighted: a leaf charges 2^width units (its
- * statevector simulation cost), and a wave closes at wave_size slots OR
- * wave_size × (cheapest pending leaf) cost units, whichever first — so
- * one wide tenant consumes proportionally more of the wave instead of
- * stalling its tail with equal-slot accounting. Packing shapes only WHEN
- * a leaf runs, never what it produces.
+ * statevector simulation cost), and a shared wave closes at wave_size
+ * slots OR wave_size × (cheapest pending leaf) cost units, whichever
+ * first — so one wide tenant consumes proportionally more of the wave
+ * instead of stalling its tail with equal-slot accounting. Packing shapes
+ * only WHEN a leaf runs, never what it produces.
  */
 #ifndef FQ_ENGINE_WAVE_LOOP_H
 #define FQ_ENGINE_WAVE_LOOP_H
@@ -68,7 +71,7 @@ struct WaveRequest
     const device::Device* dev = nullptr;
     const frozenqubits::DriverConfig* config = nullptr;
     int shots = 0;
-    /** Driver-owned back-pointer (e.g. the SolveService's Request). */
+    /** Back-pointer to the owning RequestPlan (RequestPlan::of). */
     void* context = nullptr;
     /** Seed the plan was derived from (`Rng rng(seed)` before
      *  build_solve_tree) — the checkpoint identity field that lets a
@@ -82,7 +85,7 @@ struct WaveRequest
      *  by arm_rerank(), advanced by post_barrier_rerank(). */
     std::size_t next_rerank = 0;
     /** Next checkpoint boundary (schedule index); 0 = checkpointing off.
-     *  Armed by arm_checkpoint(), advanced by post_barrier_checkpoint().
+     *  Armed and advanced by RequestPlan (durable requests only).
      *  Checkpoint barriers only add fold-count synchronization points —
      *  they never change what any leaf produces, so a checkpointed run is
      *  bit-identical to an uncheckpointed one. */
@@ -119,26 +122,6 @@ arm_rerank(WaveRequest& request)
 }
 
 /**
- * Arm the request's next checkpoint boundary from its config: the first
- * multiple of checkpoint_interval strictly past the current dispatch
- * cursor, so it works both for a fresh request (boundary = interval) and
- * for one restored mid-schedule from a snapshot. Call only when a
- * checkpoint sink is actually wired — without one the boundaries would
- * fragment waves for nothing.
- */
-inline void
-arm_checkpoint(WaveRequest& request)
-{
-    const long long interval = request.config->checkpoint_interval;
-    if (interval <= 0) {
-        request.next_checkpoint = 0;
-        return;
-    }
-    const std::size_t step = static_cast<std::size_t>(interval);
-    request.next_checkpoint = (request.dispatched / step + 1) * step;
-}
-
-/**
  * Slot cost of one leaf for cost-weighted wave packing: 2^width units
  * (statevector simulation cost), capped to keep the arithmetic safe.
  */
@@ -163,6 +146,9 @@ struct WaveSlot
  * equal-slot packing exactly; the rotating start keeps budget-closed
  * waves from starving any tenant across waves.
  *
+ * @p wave_size <= 0 is the solo epoch: no slot, cost or wave_share cap,
+ * so every tenant dispatches everything up to its dispatch_limit.
+ *
  * @p taken, when non-null, receives the per-tenant slot counts (indexed
  * like @p tenants) — the occupancy bookkeeping drivers would otherwise
  * have to reconstruct from the wave.
@@ -172,9 +158,10 @@ std::vector<WaveSlot> assemble_wave(const std::vector<WaveRequest*>& tenants,
                                     std::vector<int>* taken = nullptr);
 
 /**
- * Driver customization points for execute_wave. All optional; the solo
- * engine runs with none (exceptions propagate), the SolveService uses them
- * for per-tenant failure isolation and diagnostics.
+ * Driver customization points for execute_wave. All optional. Both
+ * drivers set `folded` to RequestPlan::on_folded (the per-request fold
+ * accounting); only the SolveService sets `admit` and `failed`, for
+ * per-tenant failure isolation — a solo solve's leaf throw propagates.
  */
 struct WaveHooks
 {
@@ -293,51 +280,6 @@ class LocalLeafExecutor final : public LeafExecutor
  * (applied == false when none was due).
  */
 RerankOutcome post_barrier_rerank(WaveRequest& request);
-
-/**
- * Durable-solve snapshot hook, fired at armed checkpoint boundaries on
- * the driving (assembler) thread. Return true to continue the solve;
- * return false to SUSPEND it: the un-dispatched tail is demoted
- * (suspend_request), the request completes early with its anytime
- * incumbent flagged degraded, and the snapshot the hook just captured
- * resumes the full solve elsewhere — the migration primitive.
- */
-using CheckpointHook = std::function<bool(WaveRequest&)>;
-
-/**
- * Suspend @p request: demote its entire un-dispatched tail to
- * beyond_budget and mark the schedule suspended, so the wave loop
- * completes it as a degraded anytime result. The folded prefix is
- * untouched — everything already paid for still counts.
- */
-void suspend_request(WaveRequest& request);
-
-/**
- * Post-barrier scan step for one request's checkpoint boundary: when its
- * fold count sits exactly on next_checkpoint (and the request is not
- * done), fire @p hook and advance the boundary; a false return suspends
- * the request. Returns false exactly when the request was suspended.
- * A null hook just advances the boundary (keeps the loop from stalling on
- * an armed boundary nobody consumes).
- */
-bool post_barrier_checkpoint(WaveRequest& request,
-                             const CheckpointHook& hook);
-
-/**
- * Solo driver: run @p request to completion through wave-synchronous
- * epochs on @p executor (the local pool, a WorkerPool or any other
- * backend). Each epoch dispatches everything up to the request's
- * dispatch_limit in one wave — with re-ranking and checkpointing off that
- * is the entire schedule in a single wave, bit-identical to the pre-epoch
- * flat batch. Exceptions propagate (no hooks). The request arrives with
- * its boundaries already armed (RequestPlan: re-rank for a fresh request,
- * the snapshot's for a resume, checkpoints when durable); @p checkpoint
- * fires at each checkpoint boundary. The SolveService drives the same
- * assemble/execute/post-barrier primitives from its assembler thread
- * instead, multiplexing many requests per wave.
- */
-void run_wave_loop(LeafExecutor& executor, WaveRequest& request,
-                   const CheckpointHook& checkpoint = {});
 
 } // namespace fq::engine
 

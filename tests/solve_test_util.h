@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/request_plan.h"
 #include "frozenqubits/driver.h"
 #include "graph/generators.h"
 #include "ising/ising_model.h"
@@ -52,6 +53,46 @@ expect_solves_identical(const frozenqubits::SampledSolve& a,
                          b.anytime[p].incumbent_cost);
         EXPECT_EQ(a.anytime[p].leaf, b.anytime[p].leaf);
     }
+}
+
+/** Every SolveRecord field except wall_ms, whose clocks start at
+ *  different points (solve entry vs submit return) — the comparator of
+ *  "one record wherever a request ran". */
+inline void
+expect_records_equal(const engine::SolveRecord& solo,
+                     const engine::SolveRecord& served)
+{
+    EXPECT_EQ(solo.leaves_tier_hit, served.leaves_tier_hit);
+    EXPECT_EQ(solo.leaves_tier_bind, served.leaves_tier_bind);
+    EXPECT_EQ(solo.leaves_tier_compile, served.leaves_tier_compile);
+    EXPECT_EQ(solo.kind_leaves_executed, served.kind_leaves_executed);
+    EXPECT_EQ(solo.kind_leaves_pruned, served.kind_leaves_pruned);
+    EXPECT_EQ(solo.kind_budget_units, served.kind_budget_units);
+    EXPECT_EQ(solo.reranks, served.reranks);
+    EXPECT_EQ(solo.rerank_pruned, served.rerank_pruned);
+    EXPECT_EQ(solo.rerank_promoted, served.rerank_promoted);
+    EXPECT_EQ(solo.rerank_demoted, served.rerank_demoted);
+    EXPECT_EQ(solo.checkpoints, served.checkpoints);
+    EXPECT_EQ(solo.resumed_from, served.resumed_from);
+    EXPECT_EQ(solo.deadline_trimmed, served.deadline_trimmed);
+    EXPECT_EQ(solo.degraded, served.degraded);
+    EXPECT_EQ(solo.leaves_scheduled, served.leaves_scheduled);
+    EXPECT_EQ(solo.leaves_executed, served.leaves_executed);
+    EXPECT_EQ(solo.waves, served.waves);
+    EXPECT_EQ(solo.fused_lookups, served.fused_lookups);
+    EXPECT_EQ(solo.fused_hits, served.fused_hits);
+    EXPECT_EQ(solo.fused_lookups_scalar, served.fused_lookups_scalar);
+    EXPECT_EQ(solo.fused_hits_scalar, served.fused_hits_scalar);
+    EXPECT_EQ(solo.fused_lookups_simd, served.fused_lookups_simd);
+    EXPECT_EQ(solo.fused_hits_simd, served.fused_hits_simd);
+    EXPECT_DOUBLE_EQ(solo.cache_hit_share, served.cache_hit_share);
+    EXPECT_EQ(solo.family_binds, served.family_binds);
+    EXPECT_EQ(solo.leaves_remote, served.leaves_remote);
+    EXPECT_EQ(solo.leaves_local, served.leaves_local);
+    EXPECT_EQ(solo.leaves_redispatched, served.leaves_redispatched);
+    EXPECT_EQ(solo.remote_bytes_sent, served.remote_bytes_sent);
+    EXPECT_EQ(solo.remote_bytes_received, served.remote_bytes_received);
+    EXPECT_EQ(solo.worker_dispatches, served.worker_dispatches);
 }
 
 } // namespace fq::test

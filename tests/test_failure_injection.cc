@@ -32,7 +32,6 @@
 #include "net/wire.h"
 #include "net/worker.h"
 #include "net/worker_pool.h"
-#include "optimizer/grid_search.h"
 #include "optimizer/landscape.h"
 #include "optimizer/nelder_mead.h"
 #include "qaoa/analytic_p1.h"
@@ -240,10 +239,6 @@ TEST(FailureInjection, Optimizers)
 {
     EXPECT_THROW(optimizer::nelder_mead(
                      [](const std::vector<double>&) { return 0.0; }, {}),
-                 Error);
-    optimizer::GridAxis bad{0.0, 1.0, 0};
-    EXPECT_THROW(optimizer::grid_search_2d(
-                     [](double, double) { return 0.0; }, bad, bad),
                  Error);
     EXPECT_THROW(optimizer::scan_landscape(
                      [](double, double) { return 0.0; }, 1, 5, 1.0, 1.0),

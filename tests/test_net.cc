@@ -234,12 +234,21 @@ struct WorkerFleet
                          net::WorkerServer::Options opts =
                              net::WorkerServer::Options())
     {
-        for (int i = 0; i < n; ++i) {
-            addresses.push_back(unique_address());
-            servers.push_back(std::make_unique<net::WorkerServer>(
-                addresses.back(), opts));
-            servers.back()->start();
-        }
+        for (int i = 0; i < n; ++i)
+            listen(unique_address(), opts);
+    }
+    /** Fresh workers (cold caches) on the given addresses. */
+    explicit WorkerFleet(const std::vector<std::string>& at)
+    {
+        for (const auto& address : at)
+            listen(address, net::WorkerServer::Options());
+    }
+    void listen(const std::string& address,
+                const net::WorkerServer::Options& opts)
+    {
+        addresses.push_back(address);
+        servers.push_back(std::make_unique<net::WorkerServer>(address, opts));
+        servers.back()->start();
     }
     ~WorkerFleet()
     {
@@ -472,6 +481,116 @@ TEST(Distributed, ServiceCoTenantsMixedLocalRemote)
     EXPECT_EQ(diag_c.leaves_remote + diag_c.leaves_local,
               diag_c.leaves_executed);
     EXPECT_GT(diag_a.leaves_remote + diag_c.leaves_remote, 0);
+}
+
+TEST(Distributed, OneRecordWhereverARequestRan)
+{
+    // The same request solved alone (last_diagnostics) and served as a
+    // tenant (diagnostics(id)) reports the same SolveRecord, wall_ms
+    // aside — fresh flat, re-ranked depth-2, resumed mid-schedule and
+    // spread over two loopback workers. Each side gets a fresh engine
+    // and, with workers, a fresh fleet on the same addresses, so every
+    // cache tier starts equally cold.
+    const auto dev = device::make_device("ibm-montreal");
+    struct Case
+    {
+        const char* name;
+        ising::IsingModel model;
+        frozenqubits::DriverConfig config;
+        int shots = 512;
+        const engine::SolveCheckpoint* resume = nullptr;
+        std::vector<std::string> workers;
+    };
+    const auto depth2 = [] {
+        auto config = small_config(2);
+        config.num_freeze = 2;
+        config.max_depth = 2;
+        config.max_circuits = 4;
+        config.rerank_interval = 2;
+        config.seed = 7;
+        return config;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"flat", test::ba_model(16, 3, 11), small_config(2)});
+    cases.push_back({"depth2-rerank", test::ba_model(16, 2, 5), depth2()});
+    std::vector<engine::SolveCheckpoint> snapshots;
+    {
+        Case c{"resume", test::ba_model(16, 2, 5), depth2()};
+        c.config.checkpoint_interval = 1;
+        engine::ExecutionEngine eng(1);
+        (void)eng.solve(c.model, dev, c.config, c.shots, c.config.seed,
+                        [&](const engine::SolveCheckpoint& ck) {
+                            snapshots.push_back(ck);
+                            return true;
+                        });
+        ASSERT_GE(snapshots.size(), 2u);
+        c.resume = &snapshots[snapshots.size() / 2];
+        cases.push_back(c);
+    }
+    cases.push_back({"workers", test::ba_model(16, 3, 11), small_config(2),
+                     512, nullptr,
+                     {unique_address(), unique_address()}});
+
+    /** Engine (+ fleet and pool when the case has workers). */
+    struct Stack
+    {
+        std::unique_ptr<WorkerFleet> fleet;
+        engine::ExecutionEngine eng{2};
+        std::unique_ptr<net::WorkerPool> pool;
+        explicit Stack(const std::vector<std::string>& workers)
+        {
+            if (workers.empty())
+                return;
+            fleet = std::make_unique<WorkerFleet>(workers);
+            pool = std::make_unique<net::WorkerPool>(
+                eng.local_leaf_executor(), eng.num_threads(),
+                fleet->addresses);
+            eng.set_leaf_executor(pool.get());
+        }
+    };
+    const auto solo_record = [&](const Case& c) {
+        Stack stack(c.workers);
+        if (c.resume)
+            (void)stack.eng.resume(c.model, dev, c.config, c.shots,
+                                   *c.resume);
+        else
+            (void)stack.eng.solve(c.model, dev, c.config, c.shots,
+                                  c.config.seed);
+        return stack.eng.last_diagnostics();
+    };
+    const auto served_record = [&](const Case& c) {
+        Stack stack(c.workers);
+        engine::SolveService service(stack.eng);
+        auto ticket = c.resume ? service.submit_resume(c.model, dev,
+                                                       c.config, c.shots,
+                                                       *c.resume)
+                               : service.submit(c.model, dev, c.config,
+                                                c.shots, c.config.seed);
+        (void)ticket.get();
+        return service.diagnostics(ticket.id());
+    };
+
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto solo = solo_record(c);
+        test::expect_records_equal(solo, served_record(c));
+        // A solo solve counts one fused lookup per leaf it executed
+        // (every leaf here fuses; restored leaves ran before the resume).
+        const int restored = std::max(0, solo.resumed_from);
+        EXPECT_EQ(solo.leaves_scalar_backend + solo.leaves_simd_backend,
+                  solo.leaves_scheduled);
+        EXPECT_GT(solo.fused_lookups, 0u);
+        EXPECT_EQ(solo.fused_lookups,
+                  static_cast<std::uint64_t>(solo.leaves_executed -
+                                             restored));
+        EXPECT_LE(solo.fused_hits + solo.family_binds, solo.fused_lookups);
+    }
+    // Each case exercises what it is named for.
+    EXPECT_GT(solo_record(cases[1]).reranks, 0);
+    const auto resumed = solo_record(cases[2]);
+    EXPECT_GT(resumed.resumed_from, 0);
+    EXPECT_LT(resumed.waves, resumed.epochs); // epochs: snapshot's too
+    EXPECT_GT(solo_record(cases[3]).leaves_remote, 0);
 }
 
 TEST(Distributed, WorkerSurvivesManyShortLivedConnections)

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "optimizer/grid_search.h"
 #include "optimizer/landscape.h"
 #include "optimizer/nelder_mead.h"
 #include "optimizer/spsa.h"
@@ -60,18 +59,6 @@ TEST(NelderMead, OneDimensional)
     // Stationary point: sin(x) = 0.1 x -> x ~= 2.852.
     const auto result = nelder_mead(f, {2.0});
     EXPECT_NEAR(result.best_point[0], 2.852, 0.05);
-}
-
-TEST(GridSearch, FindsBestCell)
-{
-    const auto f = [](double x, double y) {
-        return (x - 0.30) * (x - 0.30) + (y - 0.70) * (y - 0.70);
-    };
-    GridAxis axis{0.0, 1.0, 100};
-    const auto result = grid_search_2d(f, axis, axis);
-    EXPECT_NEAR(result.best_x, 0.30, 0.011);
-    EXPECT_NEAR(result.best_y, 0.70, 0.011);
-    EXPECT_EQ(result.evaluations, 10000);
 }
 
 TEST(Spsa, ToleratesNoisyObjective)

@@ -27,6 +27,7 @@ namespace {
 using namespace fq;
 using namespace fq::engine;
 using fq::test::ba_model;
+using fq::test::expect_records_equal;
 using fq::test::expect_solves_identical;
 
 /** One tenant's workload: every SolveTree mode the engine supports. */
@@ -408,32 +409,6 @@ TEST(SolveService, RerankParityWithSoloUnderAdversarialInterleaving)
                       solo.last_diagnostics().rerank_promoted);
         }
     }
-}
-
-/** Every SolveRecord field except wall_ms, whose clocks start at
- *  different points (solve entry vs submit return). */
-void
-expect_records_equal(const SolveRecord& solo, const SolveRecord& served)
-{
-    EXPECT_EQ(solo.leaves_tier_hit, served.leaves_tier_hit);
-    EXPECT_EQ(solo.leaves_tier_bind, served.leaves_tier_bind);
-    EXPECT_EQ(solo.leaves_tier_compile, served.leaves_tier_compile);
-    EXPECT_EQ(solo.kind_leaves_executed, served.kind_leaves_executed);
-    EXPECT_EQ(solo.kind_leaves_pruned, served.kind_leaves_pruned);
-    EXPECT_EQ(solo.kind_budget_units, served.kind_budget_units);
-    EXPECT_EQ(solo.reranks, served.reranks);
-    EXPECT_EQ(solo.rerank_pruned, served.rerank_pruned);
-    EXPECT_EQ(solo.rerank_promoted, served.rerank_promoted);
-    EXPECT_EQ(solo.rerank_demoted, served.rerank_demoted);
-    EXPECT_EQ(solo.checkpoints, served.checkpoints);
-    EXPECT_EQ(solo.resumed_from, served.resumed_from);
-    EXPECT_EQ(solo.deadline_trimmed, served.deadline_trimmed);
-    EXPECT_EQ(solo.leaves_remote, served.leaves_remote);
-    EXPECT_EQ(solo.leaves_local, served.leaves_local);
-    EXPECT_EQ(solo.leaves_redispatched, served.leaves_redispatched);
-    EXPECT_EQ(solo.remote_bytes_sent, served.remote_bytes_sent);
-    EXPECT_EQ(solo.remote_bytes_received, served.remote_bytes_received);
-    EXPECT_EQ(solo.worker_dispatches, served.worker_dispatches);
 }
 
 TEST(SolveService, SoloAndServedSolveRecordsMatch)

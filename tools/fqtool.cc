@@ -2,74 +2,34 @@
  * @file
  * fqtool — command-line front end for the FrozenQubits pipeline.
  *
- * Subcommands:
- *   generate --class ba1|ba2|ba3|3reg|sk --n <N> [--seed S]
- *       Emit a random benchmark instance in the text model format.
- *   analyze [--file F]
- *       Read a model (file or stdin) and print graph/hotspot statistics.
- *   run [--file F] --device <name> [--freeze M] [--seed S] [--threads T]
- *       Read a model, run baseline-vs-FrozenQubits, print the report.
- *   plan [--file F] --device <name> [--freeze M] [--max-depth D]
- *        [--max-circuits B] [--partition W]
- *       Build the SolveTree, rank its leaves with the classical scheduler
- *       and print the tree plus the budget trace (cut line included) —
- *       without executing any circuit. The leaf table's tier column shows
- *       how each leaf's fused program would materialize (hit / bind /
- *       compile — the parametric-template tiers; --no-param-templates
- *       forces the legacy compile-only path).
- *   solve [--file F] --device <name> [--freeze M] [--shots K] [--seed S]
- *         [--threads T] [--max-depth D] [--max-circuits B]
- *         [--partition W] [--rerank N|off] [--deadline D]
- *         [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
- *         [--suspend-after K] [--stats]
- *       Sampled end-to-end solve over the SolveTree: recursive freezing
- *       (--max-depth), budgeted best-first partial execution
- *       (--max-circuits), hybrid bisection (--partition), adaptive budget
- *       re-ranking every N folded leaves (--rerank, plus a plan-vs-
- *       adaptive schedule trace). --stats prints template-cache counters.
- *       Durable solves: --checkpoint writes a crash-safe snapshot every
- *       checkpoint boundary (--checkpoint-every folded leaves, default 1);
- *       --resume restarts a killed/suspended solve from that snapshot
- *       (same model/options; the result is bit-identical to the
- *       uninterrupted run); --suspend-after K stops after K folded leaves
- *       with a degraded anytime result; --deadline D admits only what
- *       fits a 2^width cost budget of D units.
- *   serve-batch --trace FILE [--device NAME] [--threads T] [--wave-size W]
- *               [--queue-depth D] [--shots K] [--serial] [--stats]
- *       Replay a multi-request trace through a SolveService sharing ONE
- *       engine: requests are submitted concurrently and their leaves ride
- *       shared executor waves (per-request results bit-identical to solo
- *       solves; --queue-depth bounds admission). One request per line:
- *         <model-file> [freeze=M] [shots=K] [seed=S] [device=NAME]
- *                      [max-depth=D] [max-circuits=B] [partition=W]
- *                      [wave-share=C] [rerank=N] [deadline=D]
- *                      [checkpoint=N] [migrate=K]
- *       '#' starts a comment. deadline=D rejects requests whose cost (or
- *       projected backlog) exceeds D units; migrate=K suspends a request
- *       at its first checkpoint boundary past K folded leaves and resumes
- *       it via submit_resume after the first drain — exercising live
- *       request migration. --serial replays the same trace one solve
- *       at a time on the same engine (the A/B throughput baseline).
- *   worker --listen ADDR [--threads T]
- *       Distributed leaf-execution worker (net/worker.h): serves the
- *       framed wire protocol on ADDR (unix:/path.sock or host:port),
- *       plans nothing, executes leaves against its own TemplateCache
- *       until killed. Pair with --workers on solve / serve-batch.
- *   devices
- *       List the device catalog.
+ * Subcommands (run fqtool without arguments for each one's options, which
+ * usage() generates from the option table):
+ *   generate     emit a random benchmark instance in the text model format
+ *   analyze      print a model's graph and hotspot statistics
+ *   run          baseline-vs-FrozenQubits report (analytic, no sampling)
+ *   plan         build and rank the SolveTree and print it with the
+ *                budget trace, executing no circuit
+ *   solve        sampled end-to-end solve over the SolveTree (recursive
+ *                freezing, budgeted best-first execution, bisection,
+ *                adaptive re-ranking); durable with --checkpoint /
+ *                --resume / --suspend-after, deadline-admitted with
+ *                --deadline (README "Durable solves")
+ *   serve-batch  replay a multi-request trace through a SolveService
+ *                sharing ONE engine (per-request results bit-identical to
+ *                solo solves; --serial replays one solve at a time, the
+ *                A/B baseline). One request per line: a model file, then
+ *                key=value options; '#' starts a comment
+ *   worker       distributed leaf-execution worker (net/worker.h) serving
+ *                the framed wire protocol on --listen until killed
+ *   devices      list the device catalog
  *
- * Distributed execution: solve and serve-batch accept
- * --workers a,b,c (comma-separated worker addresses). Leaves are then
- * split across the local executor and the workers by cost-weighted
- * assignment, with hedged local re-dispatch when a worker dies —
- * results stay bit-identical to a local-only run (the determinism
- * contract; see README "Distributed execution"). The serve-batch trace
- * accepts workers=0 to pin one request local.
+ * Options: every subcommand and the trace parser bind through ONE key
+ * table (kKeys); a key the subcommand does not take is an error naming
+ * it.
  *
- * run and solve execute on the ExecutionEngine: sub-problem circuits are
- * batched over a thread pool (--threads, default all cores; results are
- * identical for any thread count) and each invocation ends with a
- * wall-clock summary line.
+ * Distributed execution: solve and serve-batch accept --workers a,b,c;
+ * results stay bit-identical to a local-only run (README "Distributed
+ * execution"). Results are identical for any --threads, too.
  *
  * Examples:
  *   fqtool generate --class ba1 --n 16 > problem.ising
@@ -77,14 +37,18 @@
  *   fqtool plan --file problem.ising --freeze 3 --max-circuits 2
  *   fqtool solve --file problem.ising --freeze 2 --max-depth 2 --stats
  */
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -106,112 +70,283 @@ namespace {
 
 using namespace fq;
 
-/** Parsed --key value options. */
-using Options = std::map<std::string, std::string>;
-
-/** True for valueless switches (--flag rather than --key value). */
-bool
-is_flag(const std::string& key)
+/** Everything an option can set: the request's DriverConfig plus the
+ *  command-level knobs around it. Each command presets its defaults. */
+struct Settings
 {
-    return key == "no-fusion" || key == "no-param-templates" ||
-           key == "stats" || key == "prune-dominated" ||
-           key == "serial" || key == "no-sparsify";
-}
+    frozenqubits::DriverConfig config;
+    std::string file, device = "ibm-montreal", klass = "ba1", checkpoint,
+        resume, workers, trace, listen;
+    int n = 16, shots = 8192, wave_size = 0, queue_depth = 0;
+    long long budget = 4, checkpoint_every = -1, suspend_after = 0,
+              migrate_after = 0, die_after = 0;
+    bool freeze_auto = false, no_sparsify = false, stats = false,
+         serial = false;
+};
 
-Options
-parse_options(int argc, char** argv, int first)
+/** Where a key may appear: the command line, a serve-batch trace line. */
+constexpr unsigned kCli = 1, kTrace = 2, kBoth = kCli | kTrace;
+
+using Setter = std::function<void(Settings&, const std::string&)>;
+
+/** One option: its name, where it may appear, its value kind (shown in
+ *  the usage text; null = a valueless flag) and the setter that parses
+ *  and stores the value. */
+struct Key
 {
-    Options opts;
-    for (int a = first; a < argc; ++a) {
-        std::string key = argv[a];
-        FQ_REQUIRE(key.rfind("--", 0) == 0, "expected --option, got " + key);
-        key = key.substr(2);
-        if (is_flag(key)) {
-            opts[key] = "1";
-            continue;
+    const char* name;
+    unsigned scope;
+    const char* value;
+    Setter set;
+};
+
+/** Parse a whole option value as T (a flag's presence for bool). Throws
+ *  "expects ..." — the binder prefixes the key and its location. */
+template <typename T>
+T
+parse(const std::string& text)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        return text;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return true;
+    } else {
+        std::size_t used = 0;
+        T value{};
+        try {
+            if constexpr (std::is_floating_point_v<T>) {
+                value = std::stod(text, &used);
+            } else if constexpr (std::is_unsigned_v<T>) {
+                if (text.find_first_not_of("0123456789") == std::string::npos)
+                    value = std::stoull(text, &used);
+            } else {
+                const long long wide = std::stoll(text, &used);
+                value = static_cast<T>(wide);
+                if (value != wide)
+                    used = 0; // outside T's range
+            }
+        } catch (const std::logic_error&) {
+            used = 0;
         }
-        FQ_REQUIRE(a + 1 < argc, "missing value for --" + key);
-        opts[key] = argv[++a];
+        if (text.empty() || used != text.size())
+            throw Error(std::string("expects ") +
+                        (std::is_floating_point_v<T> ? "a number"
+                         : std::is_unsigned_v<T>
+                             ? "an unsigned 64-bit integer"
+                             : "an integer") +
+                        ", got '" + text + "'");
+        return value;
     }
-    return opts;
 }
 
-std::string
-option(const Options& opts, const std::string& key,
-       const std::string& fallback)
+void
+expect(bool ok, const std::string& expectation)
 {
-    const auto it = opts.find(key);
-    return it == opts.end() ? fallback : it->second;
+    if (!ok)
+        throw Error("expects " + expectation);
 }
 
-int
-int_option(const Options& opts, const std::string& key, int fallback)
+using DC = frozenqubits::DriverConfig;
+
+/** The object a member pointer of class C lives in. */
+template <typename C>
+C&
+target(Settings& s)
 {
-    const auto it = opts.find(key);
-    if (it == opts.end())
-        return fallback;
+    if constexpr (std::is_same_v<C, Settings>)
+        return s;
+    else
+        return s.config;
+}
+
+/** Setter storing the parsed value into @p field. */
+template <typename C, typename T>
+Setter
+to(T C::*field)
+{
+    return [field](Settings& s, const std::string& text) {
+        target<C>(s).*field = parse<T>(text);
+    };
+}
+
+/** Setter for a flag that switches a DriverConfig default off. */
+Setter
+off(bool DC::*field)
+{
+    return [field](Settings& s, const std::string&) {
+        s.config.*field = false;
+    };
+}
+
+/** to(), refusing values below @p lo (@p what completes "expects"). */
+template <typename C, typename T>
+Setter
+at_least(T C::*field, T lo, const char* what)
+{
+    return [field, lo, what](Settings& s, const std::string& text) {
+        const T value = parse<T>(text);
+        expect(value >= lo, what);
+        target<C>(s).*field = value;
+    };
+}
+
+/**
+ * The one option table: every command and the serve-batch trace bind
+ * through it. Seeds take the full unsigned 64-bit range. A name appears
+ * twice only with disjoint scopes: --checkpoint FILE vs checkpoint=N,
+ * --sparsify fraction vs sparsify=percent, --workers addresses vs
+ * workers=0|1.
+ */
+const std::vector<Key> kKeys = {
+    {"file", kCli, "F", to(&Settings::file)},
+    {"device", kBoth, "NAME", to(&Settings::device)},
+    {"class", kCli, "ba1|ba2|ba3|3reg|sk", to(&Settings::klass)},
+    {"n", kCli, "N", to(&Settings::n)},
+    {"seed", kBoth, "S", to(&DC::seed)},
+    {"threads", kCli, "T", to(&DC::threads)},
+    {"shots", kBoth, "K", to(&Settings::shots)},
+    {"freeze", kBoth, "M|auto",
+     [](Settings& s, const std::string& v) {
+         s.freeze_auto = v == "auto";
+         if (!s.freeze_auto)
+             s.config.num_freeze = parse<int>(v);
+     }},
+    {"budget", kCli, "B", to(&Settings::budget)},
+    {"max-depth", kBoth, "D", to(&DC::max_depth)},
+    {"max-circuits", kBoth, "B", to(&DC::max_circuits)},
+    {"partition", kBoth, "W", to(&DC::partition_width)},
+    {"prune-dominated", kCli, nullptr, to(&DC::prune_dominated)},
+    // The legacy structure-keyed template tier only (the A/B escape
+    // hatch mirroring --no-fusion); results are bit-identical either way.
+    {"no-param-templates", kCli, nullptr, off(&DC::parametric_templates)},
+    {"no-fusion", kCli, nullptr, off(&DC::fuse_simulation)},
+    // Re-rank the un-dispatched tail every N folded leaves; 0 and off
+    // both keep the plan-time ranking final.
+    {"rerank", kBoth, "N|off",
+     [](Settings& s, const std::string& v) {
+         s.config.rerank_interval = v == "off" ? 0 : parse<long long>(v);
+         expect(s.config.rerank_interval >= 0,
+                "a non-negative interval or 'off' (0 = off)");
+     }},
+    {"backend", kBoth, "auto|scalar|simd",
+     [](Settings& s, const std::string& v) {
+         expect(sim::parse_backend_selection(v, &s.config.backend),
+                "auto, scalar or simd");
+     }},
+    // Red-QAOA edge sparsification: each leaf tunes its angles on a
+    // proxy keeping this share of its couplings; sampling and energies
+    // use the full model. --no-sparsify forces it off, in any order.
+    {"sparsify", kCli, "F",
+     [](Settings& s, const std::string& v) {
+         const auto keep = parse<double>(v);
+         expect(keep >= 0.0 && keep < 1.0, "a keep fraction in [0, 1)");
+         if (!s.no_sparsify)
+             s.config.sparsify_keep = keep;
+     }},
+    {"sparsify", kTrace, "PERCENT",
+     [](Settings& s, const std::string& v) {
+         const auto percent = parse<int>(v);
+         expect(percent >= 0 && percent < 100,
+                "a keep percentage in [0, 100)");
+         s.config.sparsify_keep = static_cast<double>(percent) / 100.0;
+     }},
+    {"no-sparsify", kCli, nullptr,
+     [](Settings& s, const std::string&) {
+         s.no_sparsify = true;
+         s.config.sparsify_keep = 0.0;
+     }},
+    {"deadline", kBoth, "D",
+     at_least(&DC::deadline_cost_units, 0LL, "a non-negative cost budget")},
+    {"checkpoint", kCli, "FILE", to(&Settings::checkpoint)},
+    {"checkpoint", kTrace, "N",
+     at_least(&DC::checkpoint_interval, 0LL, "a non-negative interval")},
+    {"checkpoint-every", kCli, "N",
+     at_least(&Settings::checkpoint_every, 0LL,
+              "a non-negative interval")},
+    {"resume", kCli, "FILE", to(&Settings::resume)},
+    {"suspend-after", kCli, "K", to(&Settings::suspend_after)},
+    {"migrate", kTrace, "K",
+     at_least(&Settings::migrate_after, 1LL, "a positive fold count")},
+    {"wave-share", kTrace, "C", to(&DC::wave_share)},
+    {"stats", kCli, nullptr, to(&Settings::stats)},
+    {"workers", kCli, "a,b,c", to(&Settings::workers)},
+    // workers=0 pins one trace request's leaves to the local arm even
+    // when --workers attached a pool.
+    {"workers", kTrace, "0|1",
+     [](Settings& s, const std::string& v) {
+         s.config.allow_remote = parse<long long>(v) != 0;
+     }},
+    {"trace", kCli, "FILE", to(&Settings::trace)},
+    {"serial", kCli, nullptr, to(&Settings::serial)},
+    {"wave-size", kCli, "W", to(&Settings::wave_size)},
+    {"queue-depth", kCli, "D", to(&Settings::queue_depth)},
+    {"listen", kCli, "ADDR", to(&Settings::listen)},
+    // Fault injection for tests/CI: crash mid-batch after N leaves.
+    {"die-after", kCli, "N", to(&Settings::die_after)},
+};
+
+const Key*
+find_key(const std::string& name, unsigned scope)
+{
+    for (const auto& key : kKeys)
+        if (name == key.name && (key.scope & scope) != 0)
+            return &key;
+    return nullptr;
+}
+
+/** Run @p key's setter on @p text; errors name the key (@p label:
+ *  "--seed" or "seed") and end with @p where. */
+void
+bind_key(const Key& key, Settings& s, const std::string& text,
+         const std::string& label, const std::string& where = "")
+{
     try {
-        std::size_t consumed = 0;
-        const int value = std::stoi(it->second, &consumed);
-        if (consumed == it->second.size())
-            return value;
-    } catch (const std::logic_error&) {
+        key.set(s, text);
+    } catch (const Error& e) {
+        throw Error(label + " " + e.what() + where);
     }
-    throw Error("--" + key + " expects an integer, got " + it->second);
 }
 
-/** 64-bit variant for options that take circuit budgets (saturating
- *  budget arithmetic upstream supports values up to LLONG_MAX). */
-long long
-long_option(const Options& opts, const std::string& key, long long fallback)
-{
-    const auto it = opts.find(key);
-    if (it == opts.end())
-        return fallback;
-    try {
-        std::size_t consumed = 0;
-        const long long value = std::stoll(it->second, &consumed);
-        if (consumed == it->second.size())
-            return value;
-    } catch (const std::logic_error&) {
-    }
-    throw Error("--" + key + " expects an integer, got " + it->second);
-}
+using Keys = std::vector<std::string>;
 
-/** Fractional variant (keep fractions and the like). */
-double
-double_option(const Options& opts, const std::string& key, double fallback)
+/** Bind argv[first..] as --key [value] pairs, each key from @p allowed. */
+void
+bind_command_line(Settings& s, const std::string& command,
+                  const Keys& allowed, int argc, char** argv, int first)
 {
-    const auto it = opts.find(key);
-    if (it == opts.end())
-        return fallback;
-    try {
-        std::size_t consumed = 0;
-        const double value = std::stod(it->second, &consumed);
-        if (consumed == it->second.size())
-            return value;
-    } catch (const std::logic_error&) {
+    for (int a = first; a < argc; ++a) {
+        const std::string arg = argv[a];
+        FQ_REQUIRE(arg.rfind("--", 0) == 0, "expected --option, got " + arg);
+        const std::string name = arg.substr(2);
+        const Key* key = find_key(name, kCli);
+        if (key == nullptr ||
+            std::find(allowed.begin(), allowed.end(), name) == allowed.end())
+            throw Error(command + " does not take --" + name);
+        std::string value;
+        if (key->value != nullptr) {
+            FQ_REQUIRE(a + 1 < argc, "missing value for --" + name);
+            value = argv[++a];
+        }
+        bind_key(*key, s, value, "--" + name);
     }
-    throw Error("--" + key + " expects a number, got " + it->second);
 }
 
 ising::IsingModel
-load_model(const Options& opts)
+load_model(const Settings& s)
 {
-    const auto file = option(opts, "file", "");
-    if (file.empty())
+    if (s.file.empty())
         return ising::read_model(std::cin);
-    std::ifstream in(file);
-    FQ_REQUIRE(in.good(), "cannot open " + file);
+    std::ifstream in(s.file);
+    FQ_REQUIRE(in.good(), "cannot open " + s.file);
     return ising::read_model(in);
 }
 
 int
-cmd_generate(const Options& opts)
+cmd_generate(Settings& s)
 {
-    const auto klass = option(opts, "class", "ba1");
-    const int n = int_option(opts, "n", 16);
-    Rng rng(static_cast<std::uint64_t>(int_option(opts, "seed", 1)));
+    const auto& klass = s.klass;
+    const int n = s.n;
+    Rng rng(s.config.seed);
 
     graph::Graph g;
     if (klass == "ba1")
@@ -234,9 +369,9 @@ cmd_generate(const Options& opts)
 }
 
 int
-cmd_analyze(const Options& opts)
+cmd_analyze(Settings& s)
 {
-    const auto model = load_model(opts);
+    const auto model = load_model(s);
     const auto g = model.to_graph();
     const auto stats = graph::degree_stats(g, 5);
 
@@ -269,21 +404,19 @@ cmd_analyze(const Options& opts)
 }
 
 /**
- * --freeze N or --freeze auto (Section 3.4 recommendation). With auto and
- * --max-depth > 1 the whole-tree recommendation picks the deepest depth
- * whose leaf count fits the budget (config.max_depth is updated to it).
- * Call after apply_tree_options so the depth cap is in effect.
+ * --freeze auto (Section 3.4 recommendation; a no-op for --freeze N).
+ * With --max-depth > 1 the whole-tree recommendation picks the deepest
+ * depth whose leaf count fits the budget (config.max_depth is updated to
+ * it).
  */
 void
-resolve_freeze(const Options& opts, const ising::IsingModel& model,
-               frozenqubits::DriverConfig& config)
+resolve_freeze(Settings& s, const ising::IsingModel& model)
 {
-    if (option(opts, "freeze", "1") != "auto") {
-        config.num_freeze = int_option(opts, "freeze", 1);
+    if (!s.freeze_auto)
         return;
-    }
+    auto& config = s.config;
     frozenqubits::FreezeBudget budget;
-    budget.max_circuits = long_option(opts, "budget", 4);
+    budget.max_circuits = s.budget;
     const auto rec = frozenqubits::recommend_tree_freeze(
         model, budget, std::max(1, config.max_depth));
     std::cout << "auto freeze: m=" << rec.num_freeze;
@@ -339,42 +472,6 @@ print_wall_clock(const engine::ExecutionEngine& eng)
     }
 }
 
-/** SolveTree controls shared by plan and solve. */
-void
-apply_tree_options(const Options& opts, frozenqubits::DriverConfig& config)
-{
-    config.max_depth = int_option(opts, "max-depth", 1);
-    config.max_circuits = long_option(opts, "max-circuits", 0);
-    config.partition_width = int_option(opts, "partition", 0);
-    config.prune_dominated = opts.find("prune-dominated") != opts.end();
-    // --no-param-templates: resolve templates through the legacy
-    // structure-keyed tier only (the A/B escape hatch mirroring
-    // --no-fusion). Results are bit-identical either way; only plan
-    // latency and cache residency change.
-    config.parametric_templates =
-        opts.find("no-param-templates") == opts.end();
-    // --rerank off (default) keeps the plan-time ranking final;
-    // --rerank N re-ranks the un-dispatched tail every N folded leaves.
-    const auto rerank = option(opts, "rerank", "off");
-    config.rerank_interval =
-        rerank == "off" ? 0 : long_option(opts, "rerank", 0);
-    FQ_REQUIRE(rerank == "off" || config.rerank_interval >= 1,
-               "--rerank expects a positive interval or 'off'");
-    FQ_REQUIRE(sim::parse_backend_selection(
-                   option(opts, "backend", "auto"), &config.backend),
-               "--backend expects auto, scalar or simd");
-    // --sparsify F: Red-QAOA edge sparsification — tune each leaf's
-    // angles on a proxy keeping fraction F of its couplings (spanning
-    // structure always retained); sampling and energies use the full
-    // model. --no-sparsify forces it off, bit-identical to omitting
-    // --sparsify entirely (the escape hatch).
-    config.sparsify_keep = double_option(opts, "sparsify", 0.0);
-    FQ_REQUIRE(config.sparsify_keep >= 0.0 && config.sparsify_keep < 1.0,
-               "--sparsify expects a keep fraction in [0, 1)");
-    if (opts.find("no-sparsify") != opts.end())
-        config.sparsify_keep = 0.0;
-}
-
 /** Recursive tree printer: one line per node, indented by depth. */
 void
 print_tree_node(const engine::SolveTree& tree, int ni, int indent)
@@ -413,15 +510,12 @@ print_tree_node(const engine::SolveTree& tree, int ni, int indent)
 }
 
 int
-cmd_plan(const Options& opts)
+cmd_plan(Settings& s)
 {
-    const auto model = load_model(opts);
-    const auto dev = device::make_device(
-        option(opts, "device", "ibm-montreal"));
-    frozenqubits::DriverConfig config;
-    config.seed = static_cast<std::uint64_t>(int_option(opts, "seed", 7));
-    apply_tree_options(opts, config);
-    resolve_freeze(opts, model, config);
+    const auto model = load_model(s);
+    const auto dev = device::make_device(s.device);
+    resolve_freeze(s, model);
+    const auto& config = s.config;
 
     engine::TemplateCache cache;
     Rng rng(config.seed);
@@ -581,12 +675,11 @@ split_list(const std::string& csv)
  * solve on the engine — callers keep the unique_ptr on their stack.
  */
 std::unique_ptr<net::WorkerPool>
-attach_workers(const Options& opts, engine::ExecutionEngine& eng)
+attach_workers(const Settings& s, engine::ExecutionEngine& eng)
 {
-    const auto csv = option(opts, "workers", "");
-    if (csv.empty())
+    if (s.workers.empty())
         return nullptr;
-    const auto addresses = split_list(csv);
+    const auto addresses = split_list(s.workers);
     FQ_REQUIRE(!addresses.empty(),
                "--workers expects a comma-separated address list");
     auto pool = std::make_unique<net::WorkerPool>(
@@ -617,15 +710,12 @@ print_distributed(const engine::ExecutionEngine& eng,
 }
 
 int
-cmd_run(const Options& opts)
+cmd_run(Settings& s)
 {
-    const auto model = load_model(opts);
-    const auto dev = device::make_device(
-        option(opts, "device", "ibm-montreal"));
-    frozenqubits::DriverConfig config;
-    resolve_freeze(opts, model, config);
-    config.seed = static_cast<std::uint64_t>(int_option(opts, "seed", 7));
-    config.threads = int_option(opts, "threads", 0);
+    const auto model = load_model(s);
+    const auto dev = device::make_device(s.device);
+    resolve_freeze(s, model);
+    const auto& config = s.config;
     // No --no-fusion here: run evaluates analytically, nothing simulates.
 
     engine::ExecutionEngine eng(config.threads);
@@ -655,31 +745,25 @@ cmd_run(const Options& opts)
 }
 
 int
-cmd_solve(const Options& opts)
+cmd_solve(Settings& s)
 {
-    const auto model = load_model(opts);
-    const auto dev = device::make_device(
-        option(opts, "device", "ibm-montreal"));
-    frozenqubits::DriverConfig config;
-    config.threads = int_option(opts, "threads", 0);
-    config.fuse_simulation = opts.find("no-fusion") == opts.end();
-    config.seed = static_cast<std::uint64_t>(int_option(opts, "seed", 7));
-    apply_tree_options(opts, config);
-    resolve_freeze(opts, model, config);
+    const auto model = load_model(s);
+    const auto dev = device::make_device(s.device);
+    resolve_freeze(s, model);
+    auto& config = s.config;
 
     // Durability controls. A checkpoint file or a suspension point arms
     // snapshot boundaries (every folded leaf unless --checkpoint-every
     // widens them); --resume restarts from a snapshot written by an
     // earlier (possibly killed) invocation — the other options must match
     // that run's, which the restore fingerprint-checks.
-    config.deadline_cost_units = long_option(opts, "deadline", 0);
-    const auto checkpoint_path = option(opts, "checkpoint", "");
-    const auto resume_path = option(opts, "resume", "");
-    const long long suspend_after = long_option(opts, "suspend-after", 0);
+    const auto& checkpoint_path = s.checkpoint;
+    const auto& resume_path = s.resume;
+    const long long suspend_after = s.suspend_after;
     const bool durable = !checkpoint_path.empty() || suspend_after > 0;
     config.checkpoint_interval =
-        long_option(opts, "checkpoint-every", durable ? 1 : 0);
-    const int shots = int_option(opts, "shots", 8192);
+        s.checkpoint_every >= 0 ? s.checkpoint_every : durable ? 1 : 0;
+    const int shots = s.shots;
 
     engine::CheckpointSink sink;
     if (durable)
@@ -694,7 +778,7 @@ cmd_solve(const Options& opts)
         };
 
     engine::ExecutionEngine eng(config.threads);
-    const auto pool = attach_workers(opts, eng);
+    const auto pool = attach_workers(s, eng);
     frozenqubits::SampledSolve solved;
     if (!resume_path.empty()) {
         const auto snapshot =
@@ -756,7 +840,7 @@ cmd_solve(const Options& opts)
     print_wall_clock(eng);
     if (pool)
         print_distributed(eng, *pool);
-    if (opts.find("stats") != opts.end()) {
+    if (s.stats) {
         print_kind_stats(diag.kind_leaves_executed,
                          diag.kind_leaves_pruned, diag.kind_budget_units);
         print_cache_stats(eng);
@@ -764,27 +848,23 @@ cmd_solve(const Options& opts)
     return 0;
 }
 
-/** One parsed trace line of a serve-batch replay. */
+/** One parsed trace line of a serve-batch replay: its options, bound
+ *  through the same key table as the command line (trace scope), plus
+ *  the loaded model. */
 struct TraceRequest
 {
-    std::string model_file;
-    std::string device;
-    frozenqubits::DriverConfig config;
-    int shots = 4096;
-    std::uint64_t seed = 7;
-    /** migrate=K: suspend at the first checkpoint boundary with K or more
-     *  leaves folded, then resume the remainder via submit_resume. */
-    long long migrate_after = 0;
+    /** s.file is the model file; s.migrate_after = K suspends at the
+     *  first checkpoint boundary with K or more leaves folded, then
+     *  resumes the remainder via submit_resume. */
+    Settings s;
     ising::IsingModel model;
 };
 
 std::vector<TraceRequest>
-load_trace(const std::string& path, const Options& opts)
+load_trace(const Settings& cli)
 {
-    std::ifstream in(path);
-    FQ_REQUIRE(in.good(), "cannot open trace " + path);
-    const auto default_device = option(opts, "device", "ibm-montreal");
-    const int default_shots = int_option(opts, "shots", 4096);
+    std::ifstream in(cli.trace);
+    FQ_REQUIRE(in.good(), "cannot open trace " + cli.trace);
 
     std::vector<TraceRequest> requests;
     std::string line;
@@ -796,10 +876,12 @@ load_trace(const std::string& path, const Options& opts)
             line = line.substr(0, hash);
         std::istringstream tokens(line);
         TraceRequest req;
-        if (!(tokens >> req.model_file))
+        if (!(tokens >> req.s.file))
             continue; // blank / comment-only line
-        req.device = default_device;
-        req.shots = default_shots;
+        // Per-request defaults: DriverConfig's, with the command line's
+        // --device and --shots.
+        req.s.device = cli.device;
+        req.s.shots = cli.shots;
 
         const std::string where =
             " (trace line " + Table::num(lineno) + ")";
@@ -809,100 +891,31 @@ load_trace(const std::string& path, const Options& opts)
             FQ_REQUIRE(eq != std::string::npos && eq > 0,
                        "expected key=value, got '" + tok + "'" + where);
             const auto key = tok.substr(0, eq);
-            const auto value = tok.substr(eq + 1);
-            if (key == "device") { // non-numeric value
-                req.device = value;
-                continue;
-            }
-            if (key == "backend") { // non-numeric value
-                FQ_REQUIRE(sim::parse_backend_selection(
-                               value, &req.config.backend),
-                           "backend expects auto, scalar or simd" + where);
-                continue;
-            }
-            long long parsed = 0;
-            try {
-                std::size_t consumed = 0;
-                parsed = std::stoll(value, &consumed);
-                FQ_REQUIRE(consumed == value.size(),
-                           key + " expects an integer, got '" + value +
-                               "'" + where);
-            } catch (const std::logic_error&) {
-                FQ_REQUIRE(false, key + " expects an integer, got '" +
-                                      value + "'" + where);
-            }
-            if (key == "freeze")
-                req.config.num_freeze = static_cast<int>(parsed);
-            else if (key == "shots")
-                req.shots = static_cast<int>(parsed);
-            else if (key == "seed")
-                req.seed = static_cast<std::uint64_t>(parsed);
-            else if (key == "max-depth")
-                req.config.max_depth = static_cast<int>(parsed);
-            else if (key == "max-circuits")
-                req.config.max_circuits = parsed;
-            else if (key == "partition")
-                req.config.partition_width = static_cast<int>(parsed);
-            else if (key == "wave-share")
-                req.config.wave_share = static_cast<int>(parsed);
-            else if (key == "rerank") {
-                FQ_REQUIRE(parsed >= 0, "rerank expects a non-negative "
-                                        "interval (0 = off)" +
-                                            where);
-                req.config.rerank_interval = parsed;
-            } else if (key == "deadline") {
-                FQ_REQUIRE(parsed >= 0, "deadline expects a non-negative "
-                                        "cost budget (0 = off)" +
-                                            where);
-                req.config.deadline_cost_units = parsed;
-            } else if (key == "sparsify") {
-                // Integer percent (trace values are all integers):
-                // sparsify=50 keeps half the couplings in each leaf's
-                // optimizer proxy; 0 = off.
-                FQ_REQUIRE(parsed >= 0 && parsed < 100,
-                           "sparsify expects a keep percentage in "
-                           "[0, 100)" +
-                               where);
-                req.config.sparsify_keep =
-                    static_cast<double>(parsed) / 100.0;
-            } else if (key == "checkpoint") {
-                FQ_REQUIRE(parsed >= 0, "checkpoint expects a non-negative "
-                                        "interval (0 = off)" +
-                                            where);
-                req.config.checkpoint_interval = parsed;
-            } else if (key == "migrate") {
-                FQ_REQUIRE(parsed > 0,
-                           "migrate expects a positive fold count" + where);
-                req.migrate_after = parsed;
-            } else if (key == "workers") {
-                // workers=0 pins this tenant's leaves to the local arm
-                // even when --workers attached a pool.
-                req.config.allow_remote = parsed != 0;
-            } else
-                FQ_REQUIRE(false, "unknown trace key '" + key + "'" + where);
+            const Key* entry = find_key(key, kTrace);
+            FQ_REQUIRE(entry != nullptr,
+                       "unknown trace key '" + key + "'" + where);
+            bind_key(*entry, req.s, tok.substr(eq + 1), key, where);
         }
-        req.config.seed = req.seed;
 
-        std::ifstream model_in(req.model_file);
-        FQ_REQUIRE(model_in.good(),
-                   "cannot open model " + req.model_file + where);
-        req.model = ising::read_model(model_in);
+        FQ_REQUIRE(std::ifstream(req.s.file).good(),
+                   "cannot open model " + req.s.file + where);
+        req.model = load_model(req.s);
+        resolve_freeze(req.s, req.model);
         requests.push_back(std::move(req));
     }
-    FQ_REQUIRE(!requests.empty(), "trace has no requests: " + path);
+    FQ_REQUIRE(!requests.empty(), "trace has no requests: " + cli.trace);
     return requests;
 }
 
 int
-cmd_serve_batch(const Options& opts)
+cmd_serve_batch(Settings& cli)
 {
-    const auto trace_path = option(opts, "trace", "");
-    FQ_REQUIRE(!trace_path.empty(), "serve-batch needs --trace FILE");
-    auto requests = load_trace(trace_path, opts);
+    FQ_REQUIRE(!cli.trace.empty(), "serve-batch needs --trace FILE");
+    auto requests = load_trace(cli);
 
-    engine::ExecutionEngine eng(int_option(opts, "threads", 0));
-    const auto pool = attach_workers(opts, eng);
-    const bool serial = opts.find("serial") != opts.end();
+    engine::ExecutionEngine eng(cli.config.threads);
+    const auto pool = attach_workers(cli, eng);
+    const bool serial = cli.serial;
     using Clock = std::chrono::steady_clock;
     const auto start = Clock::now();
 
@@ -912,13 +925,14 @@ cmd_serve_batch(const Options& opts)
     if (serial) {
         t.set_header({"req", "model", "leaves", "best cost", "from"});
         for (std::size_t k = 0; k < requests.size(); ++k) {
-            auto& req = requests[k];
+            const auto& req = requests[k].s;
             const auto dev = device::make_device(req.device);
             // Seed overload so a worker pool can replan remotely;
-            // bit-identical to the Rng overload with Rng(req.seed).
-            const auto solved =
-                eng.solve(req.model, dev, req.config, req.shots, req.seed);
-            t.add_row({Table::num(k + 1), req.model_file,
+            // bit-identical to the Rng overload with Rng(config.seed).
+            const auto solved = eng.solve(requests[k].model, dev,
+                                          req.config, req.shots,
+                                          req.config.seed);
+            t.add_row({Table::num(k + 1), requests[k].s.file,
                        Table::num(solved.leaves_executed),
                        Table::num(solved.best_cost, 3),
                        solved.from_subproblem < 0
@@ -928,8 +942,8 @@ cmd_serve_batch(const Options& opts)
         t.print(std::cout);
     } else {
         engine::SolveService::Config service_config;
-        service_config.wave_size = int_option(opts, "wave-size", 0);
-        service_config.max_queue_depth = int_option(opts, "queue-depth", 0);
+        service_config.wave_size = cli.wave_size;
+        service_config.max_queue_depth = cli.queue_depth;
         engine::SolveService service(eng, service_config);
 
         // migrate=K slots: the assembler thread writes each suspended
@@ -942,7 +956,7 @@ cmd_serve_batch(const Options& opts)
         tickets.reserve(requests.size());
         int rejected = 0;
         for (std::size_t k = 0; k < requests.size(); ++k) {
-            auto& req = requests[k];
+            auto& req = requests[k].s;
             engine::SolveService::CheckpointCallback on_checkpoint;
             if (req.migrate_after > 0) {
                 if (req.config.checkpoint_interval <= 0)
@@ -961,23 +975,22 @@ cmd_serve_batch(const Options& opts)
                     };
             }
             try {
-                tickets.push_back(
-                    service.submit(req.model,
-                                   device::make_device(req.device),
-                                   req.config, req.shots, req.seed,
-                                   nullptr, std::move(on_checkpoint)));
+                tickets.push_back(service.submit(
+                    requests[k].model, device::make_device(req.device),
+                    req.config, req.shots, req.config.seed, nullptr,
+                    std::move(on_checkpoint)));
             } catch (const engine::DeadlineError& e) {
                 // deadline=D projected this request past its budget.
                 ++rejected;
                 tickets.emplace_back();
-                std::cout << "deadline-rejected: " << req.model_file
+                std::cout << "deadline-rejected: " << requests[k].s.file
                           << " — " << e.what() << "\n";
             } catch (const engine::AdmissionError& e) {
                 // Admission control (--queue-depth) shed this request;
                 // report it instead of aborting the replay.
                 ++rejected;
                 tickets.emplace_back();
-                std::cout << "rejected: " << req.model_file << " — "
+                std::cout << "rejected: " << requests[k].s.file << " — "
                           << e.what() << "\n";
             }
         }
@@ -991,9 +1004,9 @@ cmd_serve_batch(const Options& opts)
         for (std::size_t k = 0; k < requests.size(); ++k) {
             if (!snapshots[k])
                 continue;
-            auto& req = requests[k];
+            const auto& req = requests[k].s;
             resumed.emplace_back(
-                k, service.submit_resume(req.model,
+                k, service.submit_resume(requests[k].model,
                                          device::make_device(req.device),
                                          req.config, req.shots,
                                          *snapshots[k]));
@@ -1009,7 +1022,7 @@ cmd_serve_batch(const Options& opts)
         for (std::size_t k = 0; k < tickets.size(); ++k) {
             auto& ticket = tickets[k];
             if (ticket.id() == 0) { // shed by admission control
-                t.add_row({Table::num(k + 1), requests[k].model_file, "-",
+                t.add_row({Table::num(k + 1), requests[k].s.file, "-",
                            "-", "-", "-", "rejected", "-", "-", "-", "-",
                            "-", "-", "-", "-"});
                 continue;
@@ -1039,7 +1052,7 @@ cmd_serve_batch(const Options& opts)
             if (have_diag) {
                 for (const auto& [address, leaves] : diag.worker_dispatches)
                     worker_totals[address] += leaves;
-                t.add_row({Table::num(k + 1), requests[k].model_file,
+                t.add_row({Table::num(k + 1), requests[k].s.file,
                            Table::num(diag.leaves_executed) + "/" +
                                Table::num(diag.leaves_scheduled),
                            format_kind_split(diag.kind_leaves_executed),
@@ -1057,7 +1070,7 @@ cmd_serve_batch(const Options& opts)
                            Table::num(diag.queue_latency_ms, 1),
                            Table::num(diag.wall_ms, 1)});
             } else
-                t.add_row({Table::num(k + 1), requests[k].model_file, "-",
+                t.add_row({Table::num(k + 1), requests[k].s.file, "-",
                            "-", "-", best, from, "-", "-", "-", "-", "-",
                            "-", "-", "-"});
         }
@@ -1072,7 +1085,7 @@ cmd_serve_batch(const Options& opts)
                 best = e.what();
             }
             std::cout << "migrated: req " << (k + 1) << " ("
-                      << requests[k].model_file << ") suspended at cursor "
+                      << requests[k].s.file << ") suspended at cursor "
                       << cursor << ", resumed as request "
                       << ticket.id() << " -> best cost " << best << "\n";
         }
@@ -1108,21 +1121,20 @@ cmd_serve_batch(const Options& opts)
                                 wall_ms,
                             2)
               << " solves/s)\n";
-    if (opts.find("stats") != opts.end())
+    if (cli.stats)
         print_cache_stats(eng);
     return 0;
 }
 
 int
-cmd_worker(const Options& opts)
+cmd_worker(Settings& s)
 {
-    const auto listen = option(opts, "listen", "");
+    const auto& listen = s.listen;
     FQ_REQUIRE(!listen.empty(),
                "worker needs --listen unix:/path.sock or host:port");
     net::WorkerServer::Options wopts;
-    wopts.threads = int_option(opts, "threads", 1);
-    // Fault injection for tests/CI: crash mid-batch after N leaves.
-    wopts.die_after_leaves = long_option(opts, "die-after", 0);
+    wopts.threads = s.config.threads;
+    wopts.die_after_leaves = s.die_after;
     net::WorkerServer server(listen, wopts);
     std::cout << "fqtool worker: listening on " << listen << " ("
               << server.num_threads() << " executor thread"
@@ -1133,7 +1145,7 @@ cmd_worker(const Options& opts)
 }
 
 int
-cmd_devices()
+cmd_devices(Settings&)
 {
     Table t("device catalog");
     t.set_header({"name", "qubits", "couplings", "avg CX error",
@@ -1149,36 +1161,67 @@ cmd_devices()
     return 0;
 }
 
+/** One subcommand: the keys it takes from the table (comma-separated),
+ *  the defaults it presets before binding them, and its body. */
+struct Command
+{
+    const char* name;
+    std::string keys;
+    void (*preset)(Settings&);
+    int (*run)(Settings&);
+};
+
+const std::string kModelKeys = "file,device,freeze,budget,seed,";
+const std::string kTreeKeys = "max-depth,max-circuits,partition,"
+                              "prune-dominated,no-param-templates,rerank,"
+                              "backend,sparsify,no-sparsify,";
+
+const std::vector<Command> kCommands = {
+    {"generate", "class,n,seed", [](Settings& s) { s.config.seed = 1; },
+     cmd_generate},
+    {"analyze", "file", nullptr, cmd_analyze},
+    {"run", kModelKeys + "threads", nullptr, cmd_run},
+    {"plan", kModelKeys + kTreeKeys, nullptr, cmd_plan},
+    {"solve",
+     kModelKeys + kTreeKeys +
+         "threads,no-fusion,shots,deadline,checkpoint,checkpoint-every,"
+         "resume,suspend-after,stats,workers",
+     nullptr, cmd_solve},
+    {"serve-batch",
+     "trace,device,shots,threads,workers,serial,wave-size,queue-depth,stats",
+     [](Settings& s) { s.shots = 4096; }, cmd_serve_batch},
+    {"worker", "listen,threads,die-after",
+     [](Settings& s) { s.config.threads = 1; }, cmd_worker},
+    {"devices", "", nullptr, cmd_devices},
+};
+
+/** The option list, generated from the command and key tables. */
 int
 usage()
 {
-    std::cerr <<
-        "usage: fqtool <command> [options]\n"
-        "  generate --class ba1|ba2|ba3|3reg|sk --n N [--seed S]\n"
-        "  analyze  [--file F]\n"
-        "  run      [--file F] --device NAME [--freeze M|auto] [--seed S]\n"
-        "           [--threads T]\n"
-        "  plan     [--file F] --device NAME [--freeze M|auto]\n"
-        "           [--max-depth D] [--max-circuits B] [--partition W]\n"
-        "           [--sparsify F] [--no-sparsify] [--prune-dominated]\n"
-        "           [--backend auto|scalar|simd] [--no-param-templates]\n"
-        "  solve    [--file F] --device NAME [--freeze M|auto] [--shots K]\n"
-        "           [--threads T] [--max-depth D] [--max-circuits B]\n"
-        "           [--partition W] [--sparsify F] [--no-sparsify]\n"
-        "           [--prune-dominated] [--rerank N|off]\n"
-        "           [--backend auto|scalar|simd] [--no-fusion]\n"
-        "           [--no-param-templates]\n"
-        "           [--deadline D] [--checkpoint FILE] [--checkpoint-every N]\n"
-        "           [--resume FILE] [--suspend-after K] [--stats]\n"
-        "           [--workers a,b,c]\n"
-        "  serve-batch --trace FILE [--device NAME] [--threads T]\n"
-        "           [--wave-size W] [--queue-depth D] [--shots K]\n"
-        "           [--serial] [--stats] [--workers a,b,c]\n"
-        "           trace keys: freeze shots seed device backend max-depth\n"
-        "           max-circuits partition sparsify wave-share rerank\n"
-        "           deadline checkpoint migrate workers\n"
-        "  worker   --listen unix:/path.sock|host:port [--threads T]\n"
-        "  devices\n";
+    std::cerr << "usage: fqtool <command> [options]\n";
+    std::string line;
+    const auto add = [&line](const std::string& item) {
+        if (line.size() + item.size() > 78) {
+            std::cerr << line << "\n";
+            line = "             ";
+        }
+        line += item;
+    };
+    for (const auto& command : kCommands) {
+        line = "  " + std::string(command.name);
+        for (const auto& name : split_list(command.keys)) {
+            const Key& key = *find_key(name, kCli);
+            add(" [--" + name +
+                (key.value ? std::string(" ") + key.value : "") + "]");
+        }
+        std::cerr << line << "\n";
+    }
+    line = "  trace line: <model-file>";
+    for (const auto& key : kKeys)
+        if ((key.scope & kTrace) != 0)
+            add(std::string(" [") + key.name + "=" + key.value + "]");
+    std::cerr << line << "\n";
     return 2;
 }
 
@@ -1189,28 +1232,21 @@ main(int argc, char** argv)
 {
     if (argc < 2)
         return usage();
-    const std::string command = argv[1];
-    try {
-        const auto opts = parse_options(argc, argv, 2);
-        if (command == "generate")
-            return cmd_generate(opts);
-        if (command == "analyze")
-            return cmd_analyze(opts);
-        if (command == "run")
-            return cmd_run(opts);
-        if (command == "plan")
-            return cmd_plan(opts);
-        if (command == "solve")
-            return cmd_solve(opts);
-        if (command == "serve-batch")
-            return cmd_serve_batch(opts);
-        if (command == "worker")
-            return cmd_worker(opts);
-        if (command == "devices")
-            return cmd_devices();
-        return usage();
-    } catch (const fq::Error& e) {
-        std::cerr << "fqtool: " << e.what() << "\n";
-        return 1;
+    const std::string name = argv[1];
+    for (const auto& command : kCommands) {
+        if (name != command.name)
+            continue;
+        try {
+            Settings s;
+            if (command.preset)
+                command.preset(s);
+            bind_command_line(s, name, split_list(command.keys), argc, argv,
+                              2);
+            return command.run(s);
+        } catch (const fq::Error& e) {
+            std::cerr << "fqtool: " << e.what() << "\n";
+            return 1;
+        }
     }
+    return usage();
 }
